@@ -8,12 +8,12 @@ sketch) on the same Zipf stream and seed:
 - ``reference-scalar``: the seed query path — per-signature
   ``recover_singleton`` over the reference dict store, one level at a
   time;
-- ``packed-scalar``: the same scalar predicate evaluated in place over
-  the packed arenas (``decode_occupied``), isolating what packed
+- ``packed-scalar``: the same scalar predicate evaluated row by row
+  over the packed arena (``decode_occupied``), isolating what packed
   storage alone buys;
 - ``packed-slab``: the vectorized engine —
   :meth:`~repro.sketch.dcs.DistinctCountSketch.dsample_sweep` decodes
-  every arena of the sketch with one application of the
+  the sketch's whole arena with one application of the
   :func:`~repro.sketch.arena.singleton_mask` kernel.
 
 All three must produce identical per-level samples (the bit-identity
@@ -63,16 +63,16 @@ def _best_seconds(run, inner: int, repeats: int = 5) -> float:
 
 
 def _scalar_arena_sweep(sketch: DistinctCountSketch) -> Dict[int, Set[int]]:
-    """Scalar singleton decode over packed arenas, level by level."""
-    sweep: Dict[int, Set[int]] = {}
-    for level in range(sketch.params.num_levels):
-        sample: Set[int] = set()
-        for store in sketch._tables[level]:
-            assert isinstance(store, SignatureArena)
-            for code in store.decode_occupied():
-                if code is not None:
-                    sample.add(code)
-        sweep[level] = sample
+    """Scalar singleton decode over the packed arena, row by row."""
+    arena = sketch._arena
+    assert isinstance(arena, SignatureArena)
+    level_keys = sketch.params.r * sketch.params.s
+    sweep: Dict[int, Set[int]] = {
+        level: set() for level in range(sketch.params.num_levels)
+    }
+    for key, code in arena.decode_occupied():
+        if code is not None:
+            sweep[key // level_keys].add(code)
     return sweep
 
 

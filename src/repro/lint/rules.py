@@ -186,14 +186,16 @@ class FloatInCounterPathRule(Rule):
         "repro.sketch.arena": None,
         "repro.sketch.dcs": frozenset(
             {"update", "insert", "delete", "process", "process_stream",
-             "update_batch", "_update_pair", "_apply_pair",
-             "_apply_pairs_batch", "_apply_batch_vectorized",
-             "_scatter_into_store", "merge"}
+             "update_batch", "update_batch_shared", "_account",
+             "_update_pair", "_apply_pair", "_apply_pairs",
+             "_hash_batch", "_segment_rows", "_add_rows", "merge",
+             "subtract", "_fold_signatures", "apply_bucket_deltas"}
         ),
+        "repro.sketch.batch": None,
         "repro.sketch.tracking": frozenset(
             {"update", "insert", "delete", "process", "process_stream",
              "update_batch", "_update_pair", "_apply_pair",
-             "_scatter_into_store", "_add_singleton_occurrence",
+             "_add_rows", "_add_singleton_occurrence",
              "_remove_singleton_occurrence"}
         ),
         "repro.hashing.universal": frozenset(

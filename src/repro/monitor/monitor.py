@@ -30,7 +30,9 @@ from ..obs.catalog import (
     MONITOR_UPDATES,
 )
 from ..obs.registry import Registry, registry_or_null
+from ..obs.trace import span as trace_span
 from ..sketch import TrackingDistinctCountSketch
+from ..sketch.batch import encode_batch
 from ..sketch.estimate import TopKResult
 from ..types import AddressDomain, FlowUpdate
 from .alarms import Alarm, AlarmSeverity, AlarmSink
@@ -124,6 +126,8 @@ class DDoSMonitor:
         backend: str = "reference",
         window: Optional[SlidingWindowSketch] = None,
     ) -> None:
+        #: Address domain of every update this monitor accepts.
+        self.domain = domain
         self.config = config or MonitorConfig()
         self.profile = profile or ActivityProfile()
         self.sketch = TrackingDistinctCountSketch(
@@ -169,18 +173,23 @@ class DDoSMonitor:
         bit-identical because ``update_batch`` is — but ingestion rides
         :meth:`~repro.sketch.dcs.DistinctCountSketch.update_batch`, so
         with ``backend="packed"`` both the counter scatter and each
-        check's query run vectorized.  Splits the batch at
+        check's query run vectorized.  The batch is validated and
+        encoded once (:func:`~repro.sketch.batch.encode_batch`) and the
+        encoded chunks feed both the tracking sketch and the window, so
+        an invalid update rejects the whole batch before any state —
+        sketch, window, or alarms — changes.  Splits the batch at
         check-interval boundaries so no detection pass is skipped or
         displaced.
         """
-        pending = list(updates)
+        with trace_span("monitor.encode"):
+            batch = encode_batch(self.domain, updates)
         raised: List[Alarm] = []
         interval = self.config.check_interval
         start = 0
-        count = len(pending)
+        count = len(batch)
         while start < count:
             room = interval - self._updates_seen % interval
-            chunk = pending[start:start + room]
+            chunk = batch[start:start + room]
             applied = self.sketch.update_batch(chunk)
             if self.window is not None:
                 self.window.observe_batch(chunk)

@@ -57,6 +57,8 @@ from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..resilience.durable import DurableSketch
 from ..sketch import DistinctCountSketch
+from ..sketch.batch import EncodedBatch, encode_batch
+from ..sketch.dcs import update_batch_shared
 from ..sketch.estimate import TopKResult
 from ..types import AddressDomain, FlowUpdate
 from .threshold import CrossingEvent, diff_crossings, publish_crossings
@@ -283,24 +285,31 @@ class SlidingWindowSketch:
             self._updates_in_subepoch = 0
             self._advance()
 
-    def observe_batch(self, updates: Iterable[FlowUpdate]) -> int:
+    def observe_batch(
+        self, updates: Union[EncodedBatch, Iterable[FlowUpdate]]
+    ) -> int:
         """Feed a batch, splitting it at sub-epoch boundaries.
 
-        Whole-sub-epoch chunks ride the batched ingestion path of both
-        the open sketch and the running sum.  Returns the update count.
+        The batch is validated and encoded once up front, so an invalid
+        update rejects it before any sub-epoch changes.  The open
+        sketch and the running sum share a seed, so each chunk is
+        hashed, sorted and segment-summed once for both
+        (:func:`~repro.sketch.dcs.update_batch_shared`); a durable open
+        sub-epoch logs its chunk to the WAL first.  Returns the update
+        count.
         """
-        pending = list(updates)
-        total = len(pending)
+        batch = encode_batch(self.domain, updates)
+        total = len(batch)
         start = 0
         while start < total:
             room = self.subepoch_length - self._updates_in_subepoch
-            chunk = pending[start:start + room]
+            chunk = batch[start:start + room]
             start += len(chunk)
             if self._durable is not None:
                 self._durable.update_batch(chunk)
+                self._sum.update_batch(chunk)
             else:
-                self._current.update_batch(chunk)
-            self._sum.update_batch(chunk)
+                update_batch_shared((self._current, self._sum), chunk)
             self._updates_seen += len(chunk)
             self._updates_in_subepoch += len(chunk)
             if self._updates_in_subepoch >= self.subepoch_length:

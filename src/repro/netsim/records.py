@@ -48,6 +48,14 @@ class TcpFlag(enum.IntFlag):
     RST = 8
 
 
+# Plain-int masks: ``IntFlag`` operators build a new enum member per
+# call, which made flag tests the bulk of record conversion.
+_SYN = int(TcpFlag.SYN)
+_ACK = int(TcpFlag.ACK)
+_RST = int(TcpFlag.RST)
+_COMPLETES = _ACK | _RST
+_HALF_OPEN_MASK = _SYN | _COMPLETES
+
 _KIND_TO_FLAGS = {
     PacketKind.SYN: TcpFlag.SYN,
     PacketKind.SYN_ACK: TcpFlag.SYN | TcpFlag.ACK,
@@ -79,16 +87,12 @@ class FlowRecord:
     @property
     def is_half_open(self) -> bool:
         """SYN seen but no completing ACK and no reset/close."""
-        return (
-            bool(self.flags & TcpFlag.SYN)
-            and not self.flags & TcpFlag.ACK
-            and not self.flags & TcpFlag.RST
-        )
+        return int(self.flags) & _HALF_OPEN_MASK == _SYN
 
     @property
     def completes_handshake(self) -> bool:
         """The record carries the client ACK (or RST teardown)."""
-        return bool(self.flags & (TcpFlag.ACK | TcpFlag.RST))
+        return bool(int(self.flags) & _COMPLETES)
 
 
 class RecordExporter:
@@ -196,15 +200,18 @@ def records_to_updates(
     half_open: Set[Tuple[int, int]] = set()
     for record in records:
         key = (record.source, record.dest)
-        if record.is_half_open:
+        # The is_half_open / completes_handshake predicates, evaluated
+        # once on a plain int.
+        flags = int(record.flags)
+        if flags & _HALF_OPEN_MASK == _SYN:
             if key not in half_open:
                 half_open.add(key)
                 yield FlowUpdate(record.source, record.dest, +1)
-        elif record.completes_handshake:
+        elif flags & _COMPLETES:
             if key in half_open:
                 half_open.discard(key)
                 yield FlowUpdate(record.source, record.dest, -1)
-            elif record.flags & TcpFlag.SYN:
+            elif flags & _SYN:
                 # Self-contained: SYN and completion in one record.
                 # Net contribution is zero; emit nothing.
                 continue

@@ -62,6 +62,7 @@ SpanDict = Dict[str, Union[int, str]]
 SPAN_NAMES = (
     "arena.decode_slab",
     "checkpoint.write",
+    "monitor.encode",
     "monitor.epoch_rotate",
     "monitor.window_advance",
     "recovery.replay",

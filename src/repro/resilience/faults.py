@@ -86,10 +86,7 @@ def drop_delta_sync(sharded: ShardedSketch, index: int) -> int:
             f"transport={sharded.transport!r})"
         )
     reply = pool.collect_delta(index)
-    return sum(
-        len(bucket_bytes) + len(row_bytes)
-        for _, _, bucket_bytes, row_bytes in reply["arenas"]
-    )
+    return int(reply["keys"].nbytes + reply["rows"].nbytes)
 
 
 def truncate_wal_tail(

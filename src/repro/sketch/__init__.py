@@ -15,7 +15,8 @@ Three layers live here:
 """
 
 from .arena import SignatureArena, pack_codes, singleton_mask
-from .dcs import DistinctCountSketch
+from .batch import EncodedBatch, encode_batch
+from .dcs import DistinctCountSketch, update_batch_shared
 from .estimate import TopKEntry, TopKResult, rank_frequencies
 from .heap import IndexedMaxHeap
 from .params import SketchParams
@@ -27,6 +28,7 @@ from . import debug, serialize
 __all__ = [
     "CountSignature",
     "DistinctCountSketch",
+    "EncodedBatch",
     "IndexedMaxHeap",
     "ShardedSketch",
     "SignatureArena",
@@ -35,8 +37,10 @@ __all__ = [
     "TopKResult",
     "TrackingDistinctCountSketch",
     "debug",
+    "encode_batch",
     "pack_codes",
     "rank_frequencies",
     "serialize",
     "singleton_mask",
+    "update_batch_shared",
 ]

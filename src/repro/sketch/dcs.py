@@ -34,15 +34,13 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
-    cast,
 )
 
-from .._accel import HAVE_NUMPY
 from .._accel import np as _np
-from .._accel import to_uint64_array as _to_uint64_array
 from ..exceptions import MergeError, ParameterError
 from ..hashing import CarterWegmanHash, GeometricLevelHash, derive_seed
 from ..obs.catalog import (
@@ -61,7 +59,8 @@ from ..obs.catalog import (
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..types import AddressDomain, FlowUpdate
-from .arena import SignatureArena, pack_codes, singleton_mask
+from .arena import SignatureArena
+from .batch import EncodedBatch, encode_batch
 from .estimate import TopKResult, build_result, rank_frequencies
 from .params import SketchParams
 from .signature import CountSignature
@@ -69,11 +68,10 @@ from .signature import CountSignature
 #: Default relative-error parameter used when a query does not supply one.
 DEFAULT_EPSILON = 0.25
 
-#: One second-level table's state: the reference sparse map
-#: bucket-index -> signature, or its packed-arena equivalent.
-BucketStore = Union[Dict[int, CountSignature], SignatureArena]
+#: One reference-backend inner table: sparse bucket-index -> signature.
+BucketStore = Dict[int, CountSignature]
 
-# A level's state: one store per inner table.
+# A level's state on the reference backend: one store per inner table.
 LevelTables = List[BucketStore]
 
 #: Valid values for the ``backend`` constructor argument.
@@ -83,6 +81,72 @@ BACKENDS = ("reference", "packed")
 #: counter is provably below this bound (each update's delta is +/-1,
 #: so ``|counter| <= updates_processed``); wider states use int64.
 _INT32_SAFE = 2 ** 31
+
+#: Updates aggregated per segment-sum pass: every 16-bit lane of the
+#: packed bit counters (see ``_segment_rows``) sums at most this many
+#: 0/1 values, so lanes can never carry into each other.
+_LANE_LIMIT = 65535
+
+#: Rows per step of a whole-arena merge or subtract (bounds the
+#: temporaries a fold allocates, whatever the other sketch's size).
+_FOLD_ROWS = 4096
+
+#: Nibble -> uint64 with nibble bit ``k`` moved to bit ``16 * k``: four
+#: bit counters per word, one per 16-bit lane.
+_SPREAD = _np.array(
+    [
+        sum(((nibble >> bit) & 1) << (16 * bit) for bit in range(4))
+        for nibble in range(16)
+    ],
+    dtype="<u8",
+)
+
+
+def update_batch_shared(
+    sketches: Sequence["DistinctCountSketch"],
+    updates: Union[EncodedBatch, Iterable[FlowUpdate]],
+) -> int:  # hot-path
+    """Feed one batch to several same-seed sketches with one hash pass.
+
+    Every sketch ends up exactly as if it had run
+    :meth:`DistinctCountSketch.update_batch` on the batch, but the
+    batch is encoded once and — when every sketch is packed — hashed,
+    sorted and segment-summed once: sketches that share params and
+    seed map an update to the same flat keys, so only slot resolution
+    and the row add run per sketch.  This is how a sliding window feeds
+    its open sub-epoch and its running sum together.  Returns the
+    number of updates applied.
+
+    Raises:
+        ParameterError: when the sketches do not share params and seed.
+    """
+    first = sketches[0]
+    if not all(first.compatible_with(other) for other in sketches[1:]):
+        raise ParameterError(
+            "update_batch_shared needs sketches with one params/seed"
+        )
+    with trace_span("sketch.update_batch"):
+        batch = encode_batch(first.domain, updates)
+        count = len(batch)
+        if not count:
+            return 0
+        if batch.vectorized and all(
+            sketch._arena is not None for sketch in sketches
+        ):
+            for lo in range(0, count, _LANE_LIMIT):
+                part = batch[lo:lo + _LANE_LIMIT]
+                keys, order, starts = first._hash_batch(part)
+                with trace_span("sketch.scatter"):
+                    rows = first._segment_rows(part, order, starts)
+                    for sketch in sketches:
+                        sketch._add_rows(keys, rows)
+        else:
+            for sketch in sketches:
+                sketch._apply_pairs(batch)
+        inserts = batch.inserts()
+        for sketch in sketches:
+            sketch._account(count, inserts)
+        return count
 
 
 class DistinctCountSketch:
@@ -99,9 +163,10 @@ class DistinctCountSketch:
             resolves to the no-op null registry, so uninstrumented
             sketches pay one empty method call per update.
         backend: ``"reference"`` (per-bucket ``CountSignature`` objects,
-            the paper-faithful baseline) or ``"packed"`` (flat
-            :class:`~repro.sketch.arena.SignatureArena` storage feeding
-            the vectorized :meth:`update_batch` engine).  Both backends
+            the paper-faithful baseline) or ``"packed"`` (one flat
+            :class:`~repro.sketch.arena.SignatureArena` for the whole
+            sketch, feeding the vectorized :meth:`update_batch` engine;
+            requires numpy).  Both backends
             are bit-identical: same seeds imply
             :meth:`structurally_equal` states after the same stream.
 
@@ -147,17 +212,21 @@ class DistinctCountSketch:
             )
             for j in range(params.r)
         ]
-        self._tables: List[LevelTables] = [
-            [self._new_store() for _ in range(params.r)]
-            for _ in range(params.num_levels)
-        ]
-        # Typed alias of the same store objects for the packed hot path
-        # (saves an isinstance branch per update).
-        self._arenas: Optional[List[List[SignatureArena]]] = None
+        #: Flat keys per level: bucket ``b`` of table ``j`` at level
+        #: ``l`` lives at key ``l * _level_keys + j * s + b``.
+        self._level_keys = params.r * params.s
+        # Exactly one of the two stores is in use: the reference
+        # backend's per-table dicts, or the packed backend's one arena.
+        self._tables: List[LevelTables] = []
+        self._arena: Optional[SignatureArena] = None
         if backend == "packed":
-            self._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in self._tables
+            self._arena = SignatureArena(
+                params.pair_bits, params.num_levels * self._level_keys
+            )
+        else:
+            self._tables = [
+                [{} for _ in range(params.r)]
+                for _ in range(params.num_levels)
             ]
         #: Number of stream updates processed (the paper's ``n``).
         self.updates_processed = 0
@@ -206,12 +275,6 @@ class DistinctCountSketch:
             self.occupied_buckets
         )
         self.obs.gauge_from(SKETCH_ACTIVE_LEVELS).watch(self.active_levels)
-
-    def _new_store(self) -> BucketStore:
-        """One second-level table's empty store for this backend."""
-        if self.backend == "packed":
-            return SignatureArena(self.params.pair_bits, self.params.s)
-        return {}
 
     # -- maintenance (Section 3) --------------------------------------------
 
@@ -269,42 +332,34 @@ class DistinctCountSketch:
             total += self.update_batch(batch)
         return total
 
-    def update_batch(self, updates: Iterable[FlowUpdate]) -> int:  # hot-path
+    def update_batch(
+        self, updates: Union[EncodedBatch, Iterable[FlowUpdate]]
+    ) -> int:  # hot-path
         """Process a batch of updates with per-batch amortized costs.
 
         Bit-identical to processing the batch one update at a time (the
-        sketch is a linear transform of the update multiset), but: the
-        first- and second-level hashes are evaluated through their bulk
-        ``levels_many``/``hash_many`` methods, packed-backend counter
-        updates become one vectorized scatter per touched arena, and
-        the insert/delete observability counters receive one aggregated
-        ``inc(n)`` each.  Returns the number of updates applied.
+        sketch is a linear transform of the update multiset).  The
+        batch is validated and encoded in one vectorized pass (an
+        :class:`~repro.sketch.batch.EncodedBatch` is taken as is); on
+        the packed backend the whole batch is then hashed once, its
+        ``n * r`` flat bucket keys sorted once, the counter rows of
+        equal keys summed in one segment-sum, and the sums added into
+        the arena in one scatter.  The insert/delete observability
+        counters receive one aggregated ``inc(n)`` each.  Returns the
+        number of updates applied; an invalid update rejects the whole
+        batch before any counter changes.
         """
-        with trace_span("sketch.update_batch"):
-            encode = self.domain.encode_pair
-            pairs: List[int] = []
-            deltas: List[int] = []
-            pairs_append = pairs.append
-            deltas_append = deltas.append
-            inserts = 0
-            for update in updates:
-                delta = update.delta
-                pairs_append(encode(update.source, update.dest))
-                deltas_append(delta)
-                if delta > 0:
-                    inserts += 1
-            count = len(pairs)
-            if not count:
-                return 0
-            self._apply_pairs_batch(pairs, deltas)
-            self.updates_processed += count
-            deletes = count - inserts
-            self.net_total += inserts - deletes
-            if inserts:
-                self._obs_inserts.inc(inserts)
-            if deletes:
-                self._obs_deletes.inc(deletes)
-            return count
+        return update_batch_shared((self,), updates)
+
+    def _account(self, count: int, inserts: int) -> None:
+        """Stream bookkeeping for ``count`` applied updates."""
+        deletes = count - inserts
+        self.updates_processed += count
+        self.net_total += inserts - deletes
+        if inserts:
+            self._obs_inserts.inc(inserts)
+        if deletes:
+            self._obs_deletes.inc(deletes)
 
     def _update_pair(self, pair: int, delta: int) -> None:
         """Apply one update for an encoded pair: the sketch hot path."""
@@ -316,14 +371,19 @@ class DistinctCountSketch:
         else:
             self._obs_deletes.inc()
 
+    def _key(self, level: int, j: int, bucket: int) -> int:
+        """Flat arena key of bucket ``bucket`` in table ``j`` at ``level``."""
+        return level * self._level_keys + j * self.params.s + bucket
+
     def _apply_pair(self, pair: int, delta: int) -> None:
         """Counter-state maintenance for one update (no bookkeeping)."""
         level = self._level_hash(pair)
-        arenas = self._arenas
-        if arenas is not None:
-            arena_row = arenas[level]
+        arena = self._arena
+        if arena is not None:
+            base = level * self._level_keys
+            s = self.params.s
             for j, inner_hash in enumerate(self._inner_hashes):
-                arena_row[j].update(inner_hash(pair), pair, delta)
+                arena.update(base + j * s + inner_hash(pair), pair, delta)
             return
         tables = self._tables[level]
         pair_bits = self.params.pair_bits
@@ -341,93 +401,101 @@ class DistinctCountSketch:
                 # saw a deleted pair.
                 del table[bucket]
 
-    def _apply_pairs_batch(
-        self, pairs: List[int], deltas: List[int]
-    ) -> None:  # hot-path
-        """Apply encoded-pair updates, vectorized when possible.
-
-        Falls back to the sequential per-pair path on the reference
-        backend, without numpy, or for pair domains wider than 64 bits.
-        """
-        if self._arenas is not None and HAVE_NUMPY:
-            codes = _to_uint64_array(pairs)
-            if codes is not None:
-                self._apply_batch_vectorized(codes, deltas)
-                return
+    def _apply_pairs(self, batch: EncodedBatch) -> None:
+        """The sequential per-pair path (reference backend, wide pairs)."""
         apply_pair = self._apply_pair
-        for index in range(len(pairs)):
-            apply_pair(pairs[index], deltas[index])
+        for pair, delta in zip(batch.pairs(), batch.deltas.tolist()):
+            apply_pair(pair, delta)
 
-    def _apply_batch_vectorized(
-        self, codes: Any, deltas: List[int]
-    ) -> None:  # hot-path
-        """The packed-backend batch engine: group, then scatter.
+    def _hash_batch(
+        self, batch: EncodedBatch
+    ) -> Tuple[Any, Any, Any]:  # hot-path
+        """Hash a batch once and group its ``n * r`` flat keys.
 
-        Sorts the batch by level (stable, so per-bucket update order is
-        preserved — not that order matters: counter addition commutes),
-        builds the per-update contribution matrix ``[delta, bit_0 *
-        delta, ...]`` once, and for each ``(level, table)`` group adds
-        all contributions with a single ``np.add.at`` scatter into the
-        arena's flat buffer.
+        Returns ``(keys, order, starts)``: the distinct flat keys the
+        batch touches (ascending), the sort permutation of the
+        update-major key matrix (entry ``u * r + j`` is update ``u``'s
+        key in table ``j``), and where each key's run starts in sorted
+        order.  Sorting needs no stability — counter addition commutes
+        — but keys below ``2^16`` sort as uint16, where numpy's stable
+        sort is a linear-time radix sort.
         """
-        arenas = self._arenas
-        assert arenas is not None
         with trace_span("sketch.hash_bulk"):
+            codes = batch.codes
+            s = self.params.s
             levels = self._level_hash.levels_many(codes)
-            order = _np.argsort(levels, kind="stable")
-            codes_sorted = codes[order]
-            deltas_sorted = _np.asarray(deltas, dtype=_np.int64)[order]
-            levels_sorted = levels[order]
-            bucket_arrays = [
-                inner_hash.hash_many(codes_sorted)
-                for inner_hash in self._inner_hashes
-            ]
-        pair_bits = self.params.pair_bits
-        shifts = _np.arange(pair_bits, dtype=_np.uint64)
-        bits = (
-            (codes_sorted[:, None] >> shifts) & _np.uint64(1)
-        ).astype(_np.int64)
-        count = len(deltas)
-        contrib = _np.empty((count, pair_bits + 1), dtype=_np.int64)
-        contrib[:, 0] = deltas_sorted
-        contrib[:, 1:] = bits * deltas_sorted[:, None]
-        unique_levels, starts = _np.unique(levels_sorted, return_index=True)
-        boundaries = starts.tolist()
-        boundaries.append(count)
-        level_list = unique_levels.tolist()
-        with trace_span("sketch.scatter"):
-            for group in range(len(level_list)):
-                level = level_list[group]
-                lo = boundaries[group]
-                hi = boundaries[group + 1]
-                group_contrib = contrib[lo:hi]
-                arena_row = arenas[level]
-                for j in range(len(bucket_arrays)):
-                    store = arena_row[j]
-                    slots = store.resolve_slots(bucket_arrays[j][lo:hi])
-                    touched = _np.unique(slots)
-                    self._scatter_into_store(
-                        level, store, slots, group_contrib, touched
-                    )
+            base = levels * self._level_keys
+            keys = _np.empty((len(codes), self.params.r), dtype=_np.int64)
+            for j, inner_hash in enumerate(self._inner_hashes):
+                _np.add(base, inner_hash.hash_many(codes), out=keys[:, j])
+                keys[:, j] += j * s
+            flat = keys.reshape(-1)
+            if self.params.num_levels * self._level_keys <= 1 << 16:
+                order = _np.argsort(flat.astype(_np.uint16), kind="stable")
+            else:
+                order = _np.argsort(flat)
+            ordered = flat[order]
+            edges = _np.empty(len(ordered), dtype=bool)
+            edges[0] = True
+            _np.not_equal(ordered[1:], ordered[:-1], out=edges[1:])
+            starts = _np.flatnonzero(edges)
+            return ordered[starts], order, starts
 
-    def _scatter_into_store(
-        self,
-        level: int,
-        store: SignatureArena,
-        slots: Any,
-        contrib: Any,
-        touched: Any,
-    ) -> None:  # hot-path
-        """Apply one level-group's contributions to one arena.
+    def _segment_rows(
+        self, batch: EncodedBatch, order: Any, starts: Any
+    ) -> Any:  # hot-path
+        """Summed counter row per distinct key: the one segment-sum.
+
+        An update ``(code, delta)`` adds ``delta`` to a bucket's total
+        and to the counter of every set bit of ``code``.  Summing those
+        contributions per key without a 65-column reduction uses two
+        tricks.  Bits are counted four to a uint64 word, one per 16-bit
+        lane (``_SPREAD``), so the reduction runs over
+        ``ceil(pair_bits / 4)`` columns; ``_LANE_LIMIT`` keeps every
+        lane sum below ``2^16``.  Deletions contribute ``1 - bit``
+        (their code with every pair bit flipped), which keeps lane
+        values non-negative; subtracting the key's deletion count per
+        lane afterwards restores ``sum(delta * bit)`` exactly.
+        """
+        codes = batch.codes
+        deltas = batch.deltas
+        pair_bits = self.params.pair_bits
+        count = len(codes)
+        width = (pair_bits + 7) // 8
+        negative = deltas < 0
+        flip = negative.astype(_np.uint64) * _np.uint64((1 << pair_bits) - 1)
+        octets = (codes ^ flip).astype("<u8", copy=False).view(_np.uint8)
+        octets = octets.reshape(count, 8)[:, :width]
+        nibbles = _np.empty((count, 2 * width), dtype=_np.uint8)
+        _np.bitwise_and(octets, 15, out=nibbles[:, 0::2])
+        _np.right_shift(octets, 4, out=nibbles[:, 1::2])
+        source = order // self.params.r
+        lanes = _np.add.reduceat(_SPREAD[nibbles][source], starts, axis=0)
+        totals = _np.add.reduceat(deltas[source], starts)
+        lengths = _np.diff(starts, append=len(order))
+        deletions = (lengths - totals) // 2
+        rows = _np.empty((len(starts), pair_bits + 1), dtype=_np.int64)
+        rows[:, 0] = totals
+        bit_sums = lanes.astype("<u8", copy=False).view("<u2")
+        _np.subtract(
+            bit_sums[:, :pair_bits], deletions[:, None], out=rows[:, 1:]
+        )
+        return rows
+
+    def _add_rows(self, keys: Any, rows: Any) -> None:  # hot-path
+        """Add summed counter rows into the arena (distinct ``keys``).
 
         Overridden by the tracking sketch to diff singleton state
-        around the scatter.  The view is created after slot resolution
-        (allocation may have moved the buffer) and dropped before any
-        further allocation.
+        around the add.  Resolves every slot at once, records delta
+        baselines when a transport tracks them, adds in place, and
+        frees the rows that netted to zero.
         """
-        store.note_touched(touched)
-        _np.add.at(store.view2d(), slots, contrib)
-        store.free_zero_slots(touched)
+        arena = self._arena
+        assert arena is not None
+        slots = arena.resolve_slots(keys)
+        arena.note_touched(slots)
+        arena.scatter_rows(slots, rows)
+        arena.free_zero_slots(slots)
 
     # -- structural accessors -----------------------------------------------
 
@@ -443,6 +511,8 @@ class DistinctCountSketch:
         self, level: int, j: int, bucket: int
     ) -> Optional[CountSignature]:
         """The signature at ``(level, j, bucket)``, or ``None`` if empty."""
+        if self._arena is not None:
+            return self._arena.get(self._key(level, j, bucket))
         return self._tables[level][j].get(bucket)
 
     def return_singleton(self, level: int, j: int, bucket: int) -> Optional[int]:
@@ -450,10 +520,9 @@ class DistinctCountSketch:
 
         Returns the encoded pair, or ``None`` for empty/collision buckets.
         """
-        store = self._tables[level][j]
-        if isinstance(store, SignatureArena):
-            return store.singleton_at(bucket)
-        signature = store.get(bucket)
+        if self._arena is not None:
+            return self._arena.singleton_at(self._key(level, j, bucket))
+        signature = self._tables[level][j].get(bucket)
         if signature is None:
             return None
         return signature.recover_singleton()
@@ -462,21 +531,21 @@ class DistinctCountSketch:
         """Decode one ``(level, table)`` slab of occupied buckets.
 
         Returns ``(singleton pair codes, collision count)``.  On the
-        packed backend with numpy this is a single vectorized pass over
-        the slab's contiguous counter rows
-        (:meth:`~repro.sketch.arena.SignatureArena.decode_slab`); on
-        the reference backend — or without numpy, or for pair domains
-        wider than 64 bits — it transparently takes the scalar
-        per-signature path with identical results.  Does not touch
-        observability counters (callers aggregate per scan).
+        packed backend this is one vectorized pass over the rows of the
+        slab's key range
+        (:meth:`~repro.sketch.arena.SignatureArena.decode_range`); on
+        the reference backend — or for pair domains wider than 64 bits
+        — it takes the scalar per-signature path with identical
+        results.  Does not touch observability counters (callers
+        aggregate per scan).
         """
-        store = self._tables[level][j]
-        if isinstance(store, SignatureArena):
-            return store.decode_slab()
+        if self._arena is not None:
+            lo = self._key(level, j, 0)
+            return self._arena.decode_range(lo, lo + self.params.s)
         codes: List[int] = []
         append = codes.append
         collisions = 0
-        for signature in store.values():
+        for signature in self._tables[level][j].values():
             pair = signature.recover_singleton()
             if pair is None:
                 collisions += 1
@@ -486,71 +555,57 @@ class DistinctCountSketch:
 
     def _slab_decode_ready(self) -> bool:
         """True when whole-slab decode can serve queries on this sketch."""
-        return (
-            self._arenas is not None
-            and HAVE_NUMPY
-            and self.params.pair_bits <= 64
-        )
+        return self._arena is not None and self.params.pair_bits <= 64
+
+    def _slot_levels(self) -> Any:
+        """Level of every arena slot (-1 for free slots)."""
+        assert self._arena is not None
+        return self._arena.slot_keys() // self._level_keys
 
     def _decode_levels(
         self, levels: List[int]
     ) -> List[Tuple[Set[int], int, int]]:
         """Slab-decode whole levels with one application of the kernel.
 
-        The core of the vectorized query path: gathers every requested
-        level's arena buffers into one scratch matrix (downcast to
-        32-bit counters when ``updates_processed`` proves that safe —
-        half the bytes through every predicate pass), runs the
-        :func:`~repro.sketch.arena.singleton_mask` kernel once over all
-        of them, and splits the recovered codes back per level.
-        Returns ``(sample, recovered, collisions)`` tuples aligned with
-        ``levels``; does not touch observability counters (callers
-        record only the levels they actually visit, matching the scalar
-        walk).  Callers must check :meth:`_slab_decode_ready` first.
+        The core of the vectorized query path: runs the
+        :func:`~repro.sketch.arena.singleton_mask` kernel once over
+        the arena rows of the requested levels (over the whole arena,
+        in 32-bit scratch when ``updates_processed`` proves that safe,
+        when every level is requested) and splits the recovered codes
+        back per level.  Returns ``(sample, recovered, collisions)``
+        tuples aligned with ``levels``; does not touch observability
+        counters (callers record only the levels they actually visit,
+        matching the scalar walk).  Callers must check
+        :meth:`_slab_decode_ready` first.
         """
-        arenas = self._arenas
-        assert arenas is not None
-        views = []
-        bounds = [0]
-        occupied_by_level = []
-        rows = 0
-        for level in levels:
-            occupied = 0
-            for store in arenas[level]:
-                if len(store):
-                    view = store.view2d()
-                    views.append(view)
-                    rows += view.shape[0]
-                    occupied += len(store)
-            bounds.append(rows)
-            occupied_by_level.append(occupied)
-        if not rows:
-            return [(set(), 0, 0) for _ in levels]
-        dtype = (
-            _np.int32 if self.updates_processed < _INT32_SAFE else _np.int64
+        arena = self._arena
+        assert arena is not None
+        num_levels = self.params.num_levels
+        slot_levels = self._slot_levels()
+        select = None
+        if len(set(levels)) < num_levels:
+            wanted = _np.zeros(num_levels + 1, dtype=bool)
+            wanted[levels] = True
+            # Free slots have level -1: wanted[-1] is the False pad.
+            select = wanted[slot_levels]
+        keys, codes = arena.decode_keys(
+            select, narrow=self.updates_processed < _INT32_SAFE
         )
-        scratch = _np.empty(
-            (rows, self.params.pair_bits + 1), dtype=dtype
-        )
-        position = 0
-        for view in views:
-            count = view.shape[0]
-            # Slice assignment casts while copying, so the int32 path
-            # never materializes an intermediate int64 gather.
-            scratch[position:position + count] = view
-            position += count
-        ok, ne = singleton_mask(scratch)
-        index = _np.nonzero(ok)[0]
-        code_list = pack_codes(~ne[index, 1:]).tolist()
-        cuts = _np.searchsorted(index, _np.asarray(bounds)).tolist()
+        occupied = _np.bincount(
+            slot_levels[slot_levels >= 0], minlength=num_levels
+        ).tolist()
+        found = keys // self._level_keys
+        order = _np.argsort(found, kind="stable")
+        code_list = codes[order].tolist()
+        cuts = _np.searchsorted(
+            found[order], _np.arange(num_levels + 1)
+        ).tolist()
         out: List[Tuple[Set[int], int, int]] = []
-        for offset, level in enumerate(levels):
-            lo = cuts[offset]
-            hi = cuts[offset + 1]
+        for level in levels:
+            lo = cuts[level]
+            hi = cuts[level + 1]
             out.append((
-                set(code_list[lo:hi]),
-                hi - lo,
-                occupied_by_level[offset] - (hi - lo),
+                set(code_list[lo:hi]), hi - lo, occupied[level] - (hi - lo)
             ))
         return out
 
@@ -578,7 +633,7 @@ class DistinctCountSketch:
             sample, recovered, collisions = self._decode_levels([level])[0]
         else:
             # Scalar fallback: one per-signature decode per inner table
-            # (reference backend, no numpy, or pair_bits > 64).
+            # (reference backend, or pair_bits > 64).
             self._obs_scalar_fallbacks.inc(self.params.r)
             sample = set()
             recovered = 0
@@ -595,8 +650,8 @@ class DistinctCountSketch:
         """``GetdSample`` for every level of the sketch in one pass.
 
         Returns ``{level: sample}`` for all levels.  On the packed
-        backend with numpy this decodes every arena of the sketch with
-        a single application of the slab kernel — the fastest way to
+        backend this decodes the sketch's whole arena with a single
+        application of the slab kernel — the fastest way to
         materialize the full distinct-sample hierarchy (diagnostics,
         benchmarks, exhaustive queries); elsewhere it degrades to the
         per-level scalar scan with identical results.  Observability
@@ -631,6 +686,9 @@ class DistinctCountSketch:
 
     def active_levels(self) -> int:
         """Number of first-level buckets currently holding any state."""
+        if self._arena is not None:
+            slot_levels = self._slot_levels()
+            return len(_np.unique(slot_levels[slot_levels >= 0]))
         return sum(
             1
             for level_tables in self._tables
@@ -640,9 +698,7 @@ class DistinctCountSketch:
     @property
     def is_empty(self) -> bool:
         """True when the sketch holds no state at all."""
-        return all(
-            not table for level in self._tables for table in level
-        )
+        return self.occupied_buckets() == 0
 
     # -- estimation (Section 4) ----------------------------------------------
 
@@ -658,7 +714,7 @@ class DistinctCountSketch:
         sample: Set[int] = set()
         stop_level = 0
         if self._slab_decode_ready():
-            # Decode every slab of the sketch with one kernel pass, then
+            # Decode the whole arena with one kernel pass, then
             # replay the top-down walk over the per-level results.  The
             # walk may stop before consuming all levels — identical to
             # the scalar walk, which never decodes below its stop level;
@@ -778,61 +834,77 @@ class DistinctCountSketch:
             raise MergeError(
                 "sketches must share params and seed to merge"
             )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                mine = self._tables[level][j]
-                theirs = other._tables[level][j]
-                if isinstance(mine, SignatureArena):
-                    # Arena accessors return signature *copies*, so merge
-                    # through the in-place arena primitive instead.
-                    for bucket, signature in theirs.items():
-                        mine.merge_signature(bucket, signature)
-                    continue
-                for bucket, signature in theirs.items():
-                    existing = mine.get(bucket)
-                    if existing is None:
-                        mine[bucket] = signature.copy()
-                    else:
-                        existing.merge(signature)
-                        if existing.is_zero:
-                            del mine[bucket]
+        self._fold_signatures(other, 1)
         self.updates_processed += other.updates_processed
         self.net_total += other.net_total
         self._obs_merges.inc()
 
-    # linear: delta folding must stay an exact integer addition (RL013)
-    def apply_bucket_deltas(
-        self, level: int, j: int, buckets: Any, rows: Any
+    # linear: folding must stay an exact integer addition (RL013)
+    def _fold_signatures(
+        self, other: "DistinctCountSketch", sign: int
     ) -> None:
-        """Fold signed counter-delta rows into one inner table.
+        """Add ``sign`` times every counter of ``other`` into this sketch.
 
-        ``buckets`` is an int64 ndarray of second-level bucket indices
-        and ``rows`` the matching ``(len(buckets), pair_bits + 1)``
-        int64 delta matrix (``SignatureArena.drain_deltas`` output
-        reshaped).  Because the sketch is linear, adding another
-        sketch's per-bucket counter deltas is exactly equivalent to
-        having processed its updates here — the incremental-merge
-        primitive behind ``ShardedSketch(transport="delta"|"shm")``.
-        Buckets whose rows net to zero are pruned, and the tracking
-        subclass maintains its sample state through the same scatter
-        override the batch engine uses.  Does **not** adjust
-        ``updates_processed``/``net_total`` (callers account for those
-        from the transport's cumulative totals).
-
-        Requires the packed backend and numpy (the transports that
-        call this resolve only under the same conditions).
+        Packed into packed folds ``other``'s rows through
+        :meth:`apply_bucket_deltas` a few thousand rows per call; any
+        other pairing folds signature by signature.  Every path prunes
+        buckets that net to zero.
         """
-        arenas = self._arenas
-        if arenas is None or not HAVE_NUMPY:
-            raise ParameterError(
-                "apply_bucket_deltas requires backend='packed' and numpy"
-            )
-        if len(buckets) == 0:
+        mine = self._arena
+        theirs = other._arena
+        if mine is not None and theirs is not None:
+            for keys, rows in theirs.iter_rows(_FOLD_ROWS):
+                rows *= sign
+                self.apply_bucket_deltas(keys, rows)
             return
-        store = arenas[level][j]
-        slots = store.resolve_slots(buckets)
-        touched = _np.unique(slots)
-        self._scatter_into_store(level, store, slots, rows, touched)
+        adding = sign == 1
+        for level, j, bucket, signature in other._iter_signatures():
+            if mine is not None:
+                key = self._key(level, j, bucket)
+                if adding:
+                    mine.merge_signature(key, signature)
+                else:
+                    mine.subtract_signature(key, signature)
+                continue
+            table = self._tables[level][j]
+            existing = table.get(bucket)
+            if existing is None:
+                existing = CountSignature(self.params.pair_bits)
+                table[bucket] = existing
+            if adding:
+                existing.merge(signature)
+            else:
+                existing.subtract(signature)
+            if existing.is_zero:
+                del table[bucket]
+
+    # linear: delta folding must stay an exact integer addition (RL013)
+    def apply_bucket_deltas(self, keys: Any, rows: Any) -> None:
+        """Fold signed counter-delta rows into the arena by flat key.
+
+        ``keys`` is an int64 ndarray of *distinct* flat bucket keys
+        (``(level * r + j) * s + bucket``) and ``rows`` the matching
+        ``(len(keys), pair_bits + 1)`` int64 delta matrix
+        (``SignatureArena.drain_deltas`` output reshaped).  Because the
+        sketch is linear, adding another sketch's per-bucket counter
+        deltas is exactly equivalent to having processed its updates
+        here — the incremental-merge primitive behind
+        ``ShardedSketch(transport="delta"|"shm")``: one call folds a
+        whole shard's payload.  Buckets whose rows net to zero are
+        pruned, and the tracking subclass maintains its sample state
+        through the same row-add override the batch engine uses.  Does
+        **not** adjust ``updates_processed``/``net_total`` (callers
+        account for those from the transport's cumulative totals).
+
+        Requires the packed backend.
+        """
+        if self._arena is None:
+            raise ParameterError(
+                "apply_bucket_deltas requires backend='packed'"
+            )
+        if len(keys) == 0:
+            return
+        self._add_rows(keys, rows)
 
     # linear: subtract must stay an exact integer subtraction (RL013)
     def subtract(self, other: "DistinctCountSketch") -> None:
@@ -847,55 +919,19 @@ class DistinctCountSketch:
         sketch is merged out of the running window sum when it ages
         past the window horizon.
 
-        When both sketches are packed (and numpy is present) each inner
-        table is subtracted by negating ``other``'s exported counter
-        rows and folding them through :meth:`apply_bucket_deltas`;
-        otherwise the per-bucket signature path is used.  Both paths
-        prune buckets that net to zero, so the result is structurally
-        equal to a from-scratch sketch of the remaining stream.
+        When both sketches are packed, ``other``'s counter rows are
+        negated and folded through :meth:`apply_bucket_deltas` in
+        bounded row blocks; otherwise the per-bucket signature path is
+        used.
+        Both paths prune buckets that net to zero, so the result is
+        structurally equal to a from-scratch sketch of the remaining
+        stream.
         """
         if not self.compatible_with(other):
             raise MergeError(
                 "sketches must share params and seed to subtract"
             )
-        vectorized = (
-            self._arenas is not None
-            and other._arenas is not None
-            and HAVE_NUMPY
-        )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                theirs = other._tables[level][j]
-                if vectorized:
-                    store = cast(SignatureArena, theirs)
-                    buckets, rows = store.export_rows()
-                    if len(buckets) == 0:
-                        continue
-                    bucket_ids = _np.frombuffer(buckets, dtype=_np.int64)
-                    deltas = -_np.frombuffer(rows, dtype=_np.int64)
-                    self.apply_bucket_deltas(
-                        level,
-                        j,
-                        bucket_ids,
-                        deltas.reshape(len(bucket_ids), store.stride),
-                    )
-                    continue
-                mine = self._tables[level][j]
-                if isinstance(mine, SignatureArena):
-                    for bucket, signature in theirs.items():
-                        mine.subtract_signature(bucket, signature)
-                    continue
-                for bucket, signature in theirs.items():
-                    existing = mine.get(bucket)
-                    if existing is None:
-                        negated = CountSignature(self.params.pair_bits)
-                        negated.subtract(signature)
-                        if not negated.is_zero:
-                            mine[bucket] = negated
-                        continue
-                    existing.subtract(signature)
-                    if existing.is_zero:
-                        del mine[bucket]
+        self._fold_signatures(other, -1)
         self.updates_processed -= other.updates_processed
         self.net_total -= other.net_total
         self._obs_merges.inc()
@@ -907,23 +943,19 @@ class DistinctCountSketch:
         registry (it would double every pull gauge); instrument a copy
         explicitly if needed.
         """
-        clone = DistinctCountSketch(
-            self.params, seed=self.seed, backend=self.backend
-        )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                store = self._tables[level][j]
-                if isinstance(store, SignatureArena):
-                    clone._tables[level][j] = store.copy()
-                else:
-                    clone._tables[level][j] = {
+        clone = type(self)(self.params, seed=self.seed, backend=self.backend)
+        if self._arena is not None:
+            clone._arena = self._arena.copy()
+        else:
+            clone._tables = [
+                [
+                    {
                         bucket: signature.copy()
-                        for bucket, signature in store.items()
+                        for bucket, signature in table.items()
                     }
-        if clone._arenas is not None:
-            clone._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in clone._tables
+                    for table in level_tables
+                ]
+                for level_tables in self._tables
             ]
         clone.updates_processed = self.updates_processed
         clone.net_total = self.net_total
@@ -934,11 +966,17 @@ class DistinctCountSketch:
 
         This is the delete-resilience test surface: a sketch that saw
         matched insert/delete pairs must be structurally equal to one
-        that never saw them.
+        that never saw them.  Compares across backends too.
         """
         if not self.compatible_with(other):
             return False
-        return self._tables == other._tables
+        if self._arena is not None and other._arena is not None:
+            return self._arena == other._arena
+        if self._arena is None and other._arena is None:
+            return self._tables == other._tables
+        return list(self._iter_signatures()) == list(
+            other._iter_signatures()
+        )
 
     # -- space accounting (Section 6.1) ----------------------------------------
 
@@ -960,6 +998,8 @@ class DistinctCountSketch:
 
     def occupied_buckets(self) -> int:
         """Number of second-level buckets currently holding state."""
+        if self._arena is not None:
+            return len(self._arena)
         return sum(
             len(table) for level in self._tables for table in level
         )
@@ -974,8 +1014,30 @@ class DistinctCountSketch:
     def _iter_signatures(
         self,
     ) -> Iterator[Tuple[int, int, int, CountSignature]]:
-        """Yield ``(level, j, bucket, signature)`` for all occupied buckets."""
+        """Yield ``(level, j, bucket, signature)`` for all occupied buckets.
+
+        In ``(level, j, bucket)`` order on both backends, so the
+        serialized form of a state does not depend on its backend.
+        Reference signatures are the live objects; packed ones copies.
+        """
+        arena = self._arena
+        if arena is not None:
+            s = self.params.s
+            for key, signature in arena.items():
+                level, offset = divmod(key, self._level_keys)
+                j, bucket = divmod(offset, s)
+                yield level, j, bucket, signature
+            return
         for level, level_tables in enumerate(self._tables):
             for j, table in enumerate(level_tables):
-                for bucket, signature in table.items():
-                    yield level, j, bucket, signature
+                for bucket in sorted(table):
+                    yield level, j, bucket, table[bucket]
+
+    def _set_signature(
+        self, level: int, j: int, bucket: int, signature: CountSignature
+    ) -> None:
+        """Store ``signature`` at ``(level, j, bucket)`` (state restore)."""
+        if self._arena is not None:
+            self._arena[self._key(level, j, bucket)] = signature
+        else:
+            self._tables[level][j][bucket] = signature

@@ -38,30 +38,28 @@ class LevelStats:
 
 def level_occupancy(sketch: DistinctCountSketch) -> List[LevelStats]:
     """Per-level occupancy of every non-empty level, top level last."""
+    # level -> [occupied, singletons, collisions, total count]
+    tallies: Dict[int, List[int]] = {}
+    for level, _, _, signature in sketch._iter_signatures():
+        tally = tallies.setdefault(level, [0, 0, 0, 0])
+        tally[0] += 1
+        tally[3] += signature.total
+        if signature.recover_singleton() is not None:
+            tally[1] += 1
+        else:
+            tally[2] += 1
     stats: List[LevelStats] = []
-    for level in range(sketch.params.num_levels):
-        occupied = 0
-        singletons = 0
-        collisions = 0
-        total = 0
-        for j in range(sketch.params.r):
-            for signature in sketch._tables[level][j].values():
-                occupied += 1
-                total += signature.total
-                if signature.recover_singleton() is not None:
-                    singletons += 1
-                else:
-                    collisions += 1
-        if occupied:
-            stats.append(
-                LevelStats(
-                    level=level,
-                    occupied_buckets=occupied,
-                    singletons=singletons,
-                    collisions=collisions,
-                    total_count=total,
-                )
+    for level in sorted(tallies):
+        occupied, singletons, collisions, total = tallies[level]
+        stats.append(
+            LevelStats(
+                level=level,
+                occupied_buckets=occupied,
+                singletons=singletons,
+                collisions=collisions,
+                total_count=total,
             )
+        )
     return stats
 
 

@@ -11,14 +11,17 @@ Besides the snapshot-over-pipe transport, the pool speaks two faster
 sync protocols for packed sketches (selected by ``transport=``):
 
 * ``"delta"`` — workers track the buckets touched since the last sync
-  (a dirty-index per :class:`~repro.sketch.arena.SignatureArena`) and
-  ship only those ``(bucket, signed counter delta)`` runs as raw int64
-  bytes.  Every reply is epoch-tagged: the parent detects a missed or
-  stale sync and falls back to a full resync, so the folded running
-  sum is always exact.
-* ``"shm"`` — each worker copies its packed arena slabs (raw ``_buf``
-  words plus the slot→bucket map) into one ``multiprocessing.shared_
-  memory`` segment per worker; the parent maps the segment and gathers
+  (the :class:`~repro.sketch.arena.SignatureArena`'s dirty-key log) and
+  ship only those ``(flat key, signed counter delta)`` rows as two
+  integer arrays per worker, each in the narrowest dtype that holds its
+  values (a sync's deltas are bounded by the updates since the last
+  one, so rows usually travel as int16 and a worker's reply fits the
+  pipe's buffer in one write).  Every reply is epoch-tagged: the parent
+  detects a missed or stale sync and falls back to a full resync, so
+  the folded running sum is always exact.
+* ``"shm"`` — each worker copies its packed arena (raw ``_buf`` words
+  plus the slot→key map) into one ``multiprocessing.shared_memory``
+  segment per worker; the parent maps the segment and gathers
   bucket state with numpy views — no pickling, no JSON, no per-counter
   Python objects.  Segments are grown by generation (create new,
   unlink old) because POSIX shm cannot resize in place.
@@ -34,7 +37,7 @@ The pool prefers the ``fork`` start method (cheap, no import replay) and
 falls back to ``spawn``; if no start method is usable at all it raises
 :class:`PoolUnavailable` and the caller degrades to the synchronous
 backend.  No third-party dependencies: plain ``multiprocessing`` pipes
-carrying JSON sketch payloads (or raw delta bytes / shm headers).
+carrying JSON sketch payloads (or delta arrays / shm headers).
 """
 
 from __future__ import annotations
@@ -174,14 +177,14 @@ def _register_pool_segments(prefix: str, known: Set[str]) -> None:
 
 
 class _ShmPublisher:
-    """Worker-side slab writer: one shared-memory segment per worker.
+    """Worker-side arena writer: one shared-memory segment per worker.
 
-    Each :meth:`publish` lays the worker's non-empty arenas out
-    contiguously — per arena the int64 slot→bucket map followed by the
-    raw counter buffer — and returns a small header (segment name,
-    generation, layout) for the pipe.  The segment is grown by
-    *generation*: a bigger replacement is created under a fresh name
-    and the old one unlinked, since POSIX shm cannot resize in place.
+    Each :meth:`publish` lays the worker's arena out contiguously — the
+    int64 slot→key map followed by the raw counter buffer — and returns
+    a small header (segment name, generation, slot count) for the pipe.
+    The segment is grown by *generation*: a bigger replacement is
+    created under a fresh name and the old one unlinked, since POSIX
+    shm cannot resize in place.
     """
 
     def __init__(self, prefix: str, shard: int) -> None:
@@ -216,41 +219,23 @@ class _ShmPublisher:
         return segment
 
     def publish(self, sketch: Any) -> Dict[str, Any]:
-        """Copy the sketch's packed slabs into shared memory.
+        """Copy the sketch's packed arena into shared memory.
 
-        Returns the header the parent needs to map them back:
-        ``{"name", "generation", "layout": [(level, j, slots), ...],
-        "updates", "net"}``.
+        Returns the header the parent needs to map it back:
+        ``{"name", "generation", "slots", "updates", "net"}``.
         """
-        arenas = sketch._arenas
-        assert arenas is not None, "shm transport requires packed arenas"
-        entries: List[Tuple[int, int, Any, int]] = []
-        total_words = 0
-        for level, row in enumerate(arenas):
-            for j, arena in enumerate(row):
-                slot_count = len(arena._bucket_of)
-                if slot_count == 0:
-                    continue
-                entries.append((level, j, arena, slot_count))
-                total_words += slot_count * (1 + arena.stride)
-        segment = self._ensure_capacity(total_words * 8)
+        arena = sketch._arena
+        assert arena is not None, "shm transport requires a packed arena"
+        slots = arena.capacity
+        segment = self._ensure_capacity(slots * (1 + arena.stride) * 8)
         words = _np.frombuffer(segment.buf, dtype=_np.int64)
-        offset = 0
-        layout: List[Tuple[int, int, int]] = []
-        for level, j, arena, slot_count in entries:
-            words[offset:offset + slot_count] = _np.asarray(
-                arena._bucket_of, dtype=_np.int64
-            )
-            offset += slot_count
-            flat = _np.frombuffer(arena._buf, dtype=_np.int64)
-            words[offset:offset + flat.size] = flat
-            offset += flat.size
-            layout.append((level, j, slot_count))
+        words[:slots] = arena.slot_keys()
+        words[slots:slots * (1 + arena.stride)] = arena.view2d().reshape(-1)
         del words  # release the buffer export before any future close()
         return {
             "name": segment.name,
             "generation": self._generation,
-            "layout": layout,
+            "slots": slots,
             "updates": sketch.updates_processed,
             "net": sketch.net_total,
         }
@@ -268,13 +253,27 @@ class _ShmPublisher:
         _unlink_segment(segment.name)
 
 
+def _narrow_ints(values: Any) -> Any:
+    """An int64 ndarray in the narrowest signed dtype holding its values.
+
+    Shrinks a delta reply without changing a single value: the parent
+    widens it back to int64 before folding.
+    """
+    if len(values) == 0:
+        return values
+    lo, hi = int(values.min()), int(values.max())
+    for dtype in (_np.int8, _np.int16, _np.int32):
+        bounds = _np.iinfo(dtype)
+        if bounds.min <= lo and hi <= bounds.max:
+            return values.astype(dtype)
+    return values
+
+
 def _track_arena_deltas(sketch: Any) -> None:
-    """Enable dirty-bucket tracking on every arena of a packed sketch."""
-    arenas = sketch._arenas
-    assert arenas is not None, "delta transport requires packed arenas"
-    for row in arenas:
-        for arena in row:
-            arena.track_deltas(True)
+    """Enable dirty-key tracking on a packed sketch's arena."""
+    arena = sketch._arena
+    assert arena is not None, "delta transport requires a packed arena"
+    arena.track_deltas(True)
 
 
 def _worker_main(
@@ -334,24 +333,19 @@ def _worker_main(
                 conn.send(serialize.dumps(sketch))
             elif command == "delta":
                 epoch += 1
-                arena_payload: List[Tuple[int, int, bytes, bytes]] = []
-                assert sketch._arenas is not None
-                for level, row in enumerate(sketch._arenas):
-                    for j, arena in enumerate(row):
-                        if payload:  # full resync: absolute rows
-                            arena.reset_deltas()
-                            buckets, rows = arena.export_rows()
-                        else:
-                            buckets, rows = arena.drain_deltas()
-                        if len(buckets):
-                            arena_payload.append(
-                                (level, j, buckets.tobytes(), rows.tobytes())
-                            )
+                arena = sketch._arena
+                assert arena is not None
+                if payload:  # full resync: absolute rows
+                    arena.reset_deltas()
+                    keys, rows = arena.export_rows()
+                else:
+                    keys, rows = arena.drain_deltas()
                 conn.send(
                     {
                         "epoch": epoch,
                         "full": bool(payload),
-                        "arenas": arena_payload,
+                        "keys": _narrow_ints(keys),
+                        "rows": _narrow_ints(rows),
                         "updates": sketch.updates_processed,
                         "net": sketch.net_total,
                     }
@@ -673,8 +667,10 @@ class ProcessShardPool:
         """Drain one worker's delta run (epoch-tagged).
 
         The reply carries the worker's sync epoch, its cumulative
-        ``updates``/``net`` totals, and per-arena ``(level, j, bucket
-        bytes, delta-row bytes)`` runs — absolute rows when ``full``.
+        ``updates``/``net`` totals, and its changed rows as two flat
+        integer ndarrays in the narrowest dtype that holds them (see
+        :func:`_narrow_ints`) — ``keys`` (flat bucket keys) and ``rows``
+        (one signed delta row per key) — absolute rows when ``full``.
 
         Raises:
             WorkerDied: when the worker died before answering.
@@ -701,10 +697,10 @@ class ProcessShardPool:
     # -- shared-memory transport -------------------------------------------------
 
     def shm_sync(self) -> List[Dict[str, Any]]:
-        """Ask every worker to publish its slabs; returns the headers.
+        """Ask every worker to publish its arena; returns the headers.
 
-        Each header names the worker's segment and its layout; pass it
-        to :meth:`shm_arrays` to map the published state.
+        Each header names the worker's segment and its slot count; pass
+        it to :meth:`shm_arrays` to map the published state.
 
         Raises:
             WorkerDied: when any worker died before answering.
@@ -717,37 +713,30 @@ class ProcessShardPool:
 
     def shm_arrays(
         self, shard: int, header: Dict[str, Any]
-    ) -> List[Tuple[int, int, Any, Any]]:
-        """Gather one worker's published arenas from shared memory.
+    ) -> Tuple[Any, Any]:
+        """Gather one worker's published arena from shared memory.
 
-        Returns ``(level, j, buckets, rows)`` tuples — the occupied
-        bucket indices and their int64 counter rows, gathered straight
-        out of the mapped segment (free slots are masked out; their
-        rows are all-zero by arena invariant).  The segment stays
-        mapped between syncs and is re-attached only when the worker
-        grew it under a new name.
+        Returns ``(keys, rows)`` — the occupied flat bucket keys and
+        their int64 counter rows, gathered straight out of the mapped
+        segment (free slots are masked out; their rows are all-zero by
+        arena invariant).  The segment stays mapped between syncs and
+        is re-attached only when the worker grew it under a new name.
 
         Raises:
             WorkerDied: when the segment vanished under the parent
                 (the worker died after a grow, before a sync).
         """
         stride = self._params.pair_bits + 1
+        slots = header["slots"]
         segment = self._attach(shard, header["name"])
         words = _np.frombuffer(segment.buf, dtype=_np.int64)
-        out: List[Tuple[int, int, Any, Any]] = []
-        offset = 0
-        for level, j, slot_count in header["layout"]:
-            bucket_of = words[offset:offset + slot_count]
-            offset += slot_count
-            rows = words[offset:offset + slot_count * stride].reshape(
-                slot_count, stride
-            )
-            offset += slot_count * stride
-            mask = bucket_of >= 0
-            # Fancy indexing copies, so the returned arrays outlive the
-            # mapping and a later re-attach can close it safely.
-            out.append((level, j, bucket_of[mask], rows[mask]))
-        del words
+        key_of = words[:slots]
+        rows = words[slots:slots * (1 + stride)].reshape(slots, stride)
+        mask = key_of >= 0
+        # Fancy indexing copies, so the returned arrays outlive the
+        # mapping and a later re-attach can close it safely.
+        out = (key_of[mask], rows[mask])
+        del words, key_of, rows
         return out
 
     def _attach(self, shard: int, name: str) -> Any:

@@ -100,7 +100,7 @@ def sketch_from_dict(
         signature = CountSignature(pair_bits)
         signature.total = counters[0]
         signature.bit_counts = list(counters[1:])
-        sketch._tables[level][j][bucket] = signature
+        sketch._set_signature(level, j, bucket, signature)
     sketch.updates_processed = payload["updates_processed"]
     sketch.net_total = payload["net_total"]
     if isinstance(sketch, TrackingDistinctCountSketch):

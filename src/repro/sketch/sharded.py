@@ -38,7 +38,7 @@ The process backend syncs shard state through one of three
   into a *running* combined sketch by addition (linearity), making
   :meth:`combined` O(changed buckets) between queries.  Epoch-tagged
   replies detect missed syncs and trigger an exact full resync;
-* ``"shm"`` — workers publish their packed arena slabs into
+* ``"shm"`` — workers publish their packed arenas into
   ``multiprocessing.shared_memory`` and the parent gathers bucket
   state through numpy views of the mapped segments — no pickling.
 
@@ -419,13 +419,12 @@ class ShardedSketch:
             synced_bytes = 0
             for shard, reply in enumerate(replies):
                 self._sync_epochs[shard] = reply["epoch"]
-                for level, j, bucket_bytes, row_bytes in reply["arenas"]:
-                    buckets = _np.frombuffer(bucket_bytes, dtype=_np.int64)
-                    rows = _np.frombuffer(
-                        row_bytes, dtype=_np.int64
-                    ).reshape(len(buckets), stride)
-                    running.apply_bucket_deltas(level, j, buckets, rows)
-                    synced_bytes += len(bucket_bytes) + len(row_bytes)
+                keys = reply["keys"].astype(_np.int64)
+                rows = reply["rows"].astype(_np.int64)
+                running.apply_bucket_deltas(
+                    keys, rows.reshape(len(keys), stride)
+                )
+                synced_bytes += reply["keys"].nbytes + reply["rows"].nbytes
             running.updates_processed = sum(
                 reply["updates"] for reply in replies
             )
@@ -437,10 +436,10 @@ class ShardedSketch:
     def _combined_shm(self) -> TrackingDistinctCountSketch:
         """Merge shard state gathered from shared-memory segments.
 
-        Every sync asks each worker to publish its packed arena slabs
-        into its segment, then folds the occupied bucket rows into a
-        fresh combined sketch through numpy views of the mapped
-        memory — no pickling, no per-bucket Python objects.  Memoized
+        Every sync asks each worker to publish its packed arena into
+        its segment, then folds each worker's occupied rows into a
+        fresh combined sketch in one call, through numpy views of the
+        mapped memory — no pickling, no per-bucket Python objects.  Memoized
         like every transport: repeated queries between updates reuse
         the merged sketch.
         """
@@ -453,11 +452,9 @@ class ShardedSketch:
             headers = pool.shm_sync()
             synced_bytes = 0
             for shard, header in enumerate(headers):
-                for level, j, buckets, rows in pool.shm_arrays(
-                    shard, header
-                ):
-                    merged.apply_bucket_deltas(level, j, buckets, rows)
-                    synced_bytes += buckets.nbytes + rows.nbytes
+                keys, rows = pool.shm_arrays(shard, header)
+                merged.apply_bucket_deltas(keys, rows)
+                synced_bytes += keys.nbytes + rows.nbytes
             merged.updates_processed = sum(
                 header["updates"] for header in headers
             )

@@ -40,7 +40,6 @@ from ..obs.catalog import (
 )
 from ..obs.registry import Registry
 from ..types import AddressDomain
-from .arena import SignatureArena
 from .dcs import DEFAULT_EPSILON, DistinctCountSketch
 from .estimate import TopKResult, build_result
 from .heap import IndexedMaxHeap
@@ -157,15 +156,15 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def _apply_pair(self, pair: int, delta: int) -> None:
         """UpdateTracking: signature update plus sample-state maintenance."""
         level = self._level_hash(pair)
-        arenas = self._arenas
-        if arenas is not None:
-            arena_row = arenas[level]
+        arena = self._arena
+        if arena is not None:
+            base = level * self._level_keys
+            s = self.params.s
             for j, inner_hash in enumerate(self._inner_hashes):
-                bucket = inner_hash(pair)
-                store = arena_row[j]
-                before = store.singleton_at(bucket)
-                store.update(bucket, pair, delta)
-                after = store.singleton_at(bucket)
+                key = base + j * s + inner_hash(pair)
+                before = arena.singleton_at(key)
+                arena.update(key, pair, delta)
+                after = arena.singleton_at(key)
                 if before == after:
                     continue
                 if before is not None:
@@ -199,44 +198,46 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
             if after is not None:
                 self._add_singleton_occurrence(level, after)
 
-    def _scatter_into_store(
-        self,
-        level: int,
-        store: SignatureArena,
-        slots: Any,
-        contrib: Any,
-        touched: Any,
-    ) -> None:  # hot-path
-        """Batch UpdateTracking: diff singleton state around the scatter.
+    def _add_rows(self, keys: Any, rows: Any) -> None:  # hot-path
+        """Batch UpdateTracking: diff singleton state around the row add.
 
         The tracked structures are a pure function of the counter state
         (:meth:`check_invariants` is exactly that statement), so diffing
-        each touched bucket's singleton occupant before and after the
-        whole-group scatter yields the same final state as replaying the
-        group update by update.  Both images come from the vectorized
-        slab-decode kernel as raw ``(ok, codes)`` arrays, and the diff
-        itself is a numpy comparison — Python only touches the buckets
-        whose occupant actually changed.
+        each touched row's singleton occupant before and after the
+        whole-batch add yields the same final state as replaying the
+        batch update by update.  Both images come from one application
+        of the vectorized slab-decode kernel each over the touched
+        rows, and the diff itself is a numpy comparison — Python only
+        visits the rows whose occupant actually changed, reading each
+        row's level off its flat key.
         """
-        before_ok, before_codes = store.decode_slots_raw(touched)
-        super()._scatter_into_store(level, store, slots, contrib, touched)
-        after_ok, after_codes = store.decode_slots_raw(touched)
+        arena = self._arena
+        assert arena is not None
+        slots = arena.resolve_slots(keys)
+        before_ok, before_codes = arena.decode_slots_raw(slots)
+        arena.note_touched(slots)
+        arena.scatter_rows(slots, rows)
+        after_ok, after_codes = arena.decode_slots_raw(slots)
+        arena.free_zero_slots(slots)
         changed = (before_ok != after_ok) | (
             before_ok & after_ok & (before_codes != after_codes)
         )
         if not bool(changed.any()):
             return
+        index = _np.nonzero(changed)[0]
+        levels = (keys[index] // self._level_keys).tolist()
         remove = self._remove_singleton_occurrence
         add = self._add_singleton_occurrence
-        before_ok_list = before_ok.tolist()
-        after_ok_list = after_ok.tolist()
-        before_code_list = before_codes.tolist()
-        after_code_list = after_codes.tolist()
-        for index in _np.nonzero(changed)[0].tolist():
-            if before_ok_list[index]:
-                remove(level, before_code_list[index])
-            if after_ok_list[index]:
-                add(level, after_code_list[index])
+        before_ok_list = before_ok[index].tolist()
+        after_ok_list = after_ok[index].tolist()
+        before_code_list = before_codes[index].tolist()
+        after_code_list = after_codes[index].tolist()
+        for position in range(len(levels)):
+            level = levels[position]
+            if before_ok_list[position]:
+                remove(level, before_code_list[position])
+            if after_ok_list[position]:
+                add(level, after_code_list[position])
 
     def _add_singleton_occurrence(self, level: int, pair: int) -> None:
         """A bucket at ``level`` became a singleton holding ``pair``."""
@@ -416,10 +417,11 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
     def _rebuild_tracking_state(self) -> None:
         """Recompute singletons/counters/heaps from the raw signatures.
 
-        Decodes slab-at-a-time (:meth:`decoded_slab`), so a post-merge
-        or post-copy rebuild rides the same vectorized kernel as the
-        query path; the resulting state is a pure function of the
-        counter state, so decode order is immaterial.
+        On the packed backend one application of the slab kernel over
+        the whole arena yields every singleton row's key and code, so a
+        post-merge or post-copy rebuild rides the same vectorized
+        kernel as the query path; the resulting state is a pure
+        function of the counter state, so decode order is immaterial.
         """
         levels = self.params.num_levels
         self._singletons = [SingletonSet() for _ in range(levels)]
@@ -427,34 +429,22 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         self._dest_heaps = [
             IndexedMaxHeap() for _ in range(levels)
         ]
+        add = self._add_singleton_occurrence
+        if self._arena is not None and self._slab_decode_ready():
+            keys, codes = self._arena.decode_keys()
+            found = (keys // self._level_keys).tolist()
+            for level, pair in zip(found, codes.tolist()):
+                add(level, pair)
+            return
         for level in range(levels):
             for j in range(self.params.r):
-                codes, _ = self.decoded_slab(level, j)
-                for pair in codes:
-                    self._add_singleton_occurrence(level, pair)
+                codes_list, _ = self.decoded_slab(level, j)
+                for pair in codes_list:
+                    add(level, pair)
 
     def copy(self) -> "TrackingDistinctCountSketch":
         """Deep copy, including tracked state (rebuilt from signatures)."""
-        clone = TrackingDistinctCountSketch(
-            self.params, seed=self.seed, backend=self.backend
-        )
-        for level in range(self.params.num_levels):
-            for j in range(self.params.r):
-                store = self._tables[level][j]
-                if isinstance(store, SignatureArena):
-                    clone._tables[level][j] = store.copy()
-                else:
-                    clone._tables[level][j] = {
-                        bucket: signature.copy()
-                        for bucket, signature in store.items()
-                    }
-        if clone._arenas is not None:
-            clone._arenas = [
-                [cast(SignatureArena, store) for store in level_tables]
-                for level_tables in clone._tables
-            ]
-        clone.updates_processed = self.updates_processed
-        clone.net_total = self.net_total
+        clone = cast(TrackingDistinctCountSketch, super().copy())
         clone._rebuild_tracking_state()
         return clone
 

@@ -163,3 +163,53 @@ class TestObserveBatch:
         monitor = make_monitor(domain)
         assert monitor.observe_batch([]) == []
         assert monitor.updates_seen == 0
+
+
+class TestRejectedBatch:
+    """A batch with one out-of-domain update changes nothing at all."""
+
+    def _monitor(self, domain):
+        from repro.monitor import SlidingWindowSketch
+
+        window = SlidingWindowSketch(
+            domain, subepoch_length=40, window_subepochs=4, seed=3
+        )
+        return DDoSMonitor(
+            domain,
+            MonitorConfig(k=5, check_interval=100, warning_ratio=10,
+                          critical_ratio=50, absolute_floor=1),
+            seed=3, backend="packed", window=window,
+        )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            FlowUpdate(2 ** 16, 7, 1),
+            FlowUpdate(-1, 7, 1),
+            FlowUpdate(7, 2 ** 70, 1),
+            FlowUpdate(-(2 ** 70), 7, 1),
+        ],
+        ids=["too-large", "negative", "beyond-int64", "below-int64"],
+    )
+    def test_rejected_batch_leaves_no_trace(self, bad):
+        from repro.exceptions import DomainError
+
+        domain = AddressDomain(2 ** 16)
+        valid = flood(dest=7, sources=150)
+        # The valid prefix alone crosses a check and raises an alarm,
+        # so a partly applied batch would be visible.
+        assert self._monitor(domain).observe_batch(valid)
+        monitor = self._monitor(domain)
+        monitor.observe_batch(flood(dest=9, sources=30, base=5000))
+        sketch = monitor.sketch.copy()
+        window_sum = monitor.window.window_sum.copy()
+        alarms = len(monitor.alarms)
+        with pytest.raises(DomainError):
+            monitor.observe_batch(valid + [bad])
+        assert monitor.updates_seen == 30
+        assert monitor.sketch.structurally_equal(sketch)
+        assert monitor.sketch.updates_processed == 30
+        assert monitor.window.updates_seen == 30
+        assert monitor.window.window_sum.structurally_equal(window_sum)
+        assert monitor.window.subepoch_index == 0
+        assert len(monitor.alarms) == alarms

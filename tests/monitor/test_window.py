@@ -133,6 +133,18 @@ class TestWindowDifferential:
         assert batched.window_sum.structurally_equal(one_by_one.window_sum)
         assert batched.subepoch_index == one_by_one.subepoch_index
 
+    def test_rejected_batch_spans_no_subepoch(self) -> None:
+        from repro.exceptions import DomainError
+
+        window = make_window("packed")
+        length = window.subepoch_length
+        updates = make_stream(11, 3 * length)
+        with pytest.raises(DomainError):
+            window.observe_batch(updates + [FlowUpdate(DOMAIN.m, 1, 1)])
+        assert window.updates_seen == 0
+        assert window.subepoch_index == 0
+        assert window.window_sum.is_empty
+
     def test_tumbling_window(self) -> None:
         """window_subepochs=1 degenerates to a tumbling window."""
         window = SlidingWindowSketch(

@@ -1,12 +1,15 @@
-"""Unit tests for the packed SignatureArena store."""
+"""Unit tests for the packed SignatureArena store (one per sketch)."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.exceptions import MergeError, ParameterError
 from repro.sketch import CountSignature, SignatureArena
+from repro.sketch.arena import MAX_DENSE_KEYS
 
 
 def make_signature(pair_bits: int, *pairs: int) -> CountSignature:
@@ -14,6 +17,10 @@ def make_signature(pair_bits: int, *pairs: int) -> CountSignature:
     for pair in pairs:
         signature.update(pair, 1)
     return signature
+
+
+def keys(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
 class TestConstruction:
@@ -28,6 +35,7 @@ class TestConstruction:
         assert len(arena) == 0
         assert not arena
         assert list(arena) == []
+        assert arena.capacity == 0
 
 
 class TestUpdateAndDecode:
@@ -49,7 +57,7 @@ class TestUpdateAndDecode:
         arena = SignatureArena(8, 128)
         arena.update(3, 0b1100, 1)
         assert arena.singleton_at(3) == 0b1100
-        # A second distinct pair makes the bucket a collision.
+        # A second distinct pair makes the row a collision.
         arena.update(3, 0b0011, 1)
         assert arena.singleton_at(3) is None
         assert arena[3] == make_signature(8, 0b1100, 0b0011)
@@ -60,25 +68,44 @@ class TestUpdateAndDecode:
 
     def test_decode_occupied_matches_per_bucket_decode(self):
         arena = SignatureArena(8, 128)
-        arena.update(1, 0b1, 1)
+        arena.update(9, 0b101, -1)
         arena.update(2, 0b10, 1)
         arena.update(2, 0b11, 1)
-        arena.update(9, 0b101, -1)
+        arena.update(1, 0b1, 1)
         decoded = list(arena.decode_occupied())
         expected = [
-            signature.recover_singleton() for signature in arena.values()
+            (key, signature.recover_singleton())
+            for key, signature in arena.items()
         ]
         assert decoded == expected
-        assert sorted(x for x in decoded if x is not None) == [0b1]
+        assert decoded == [(1, 0b1), (2, None), (9, None)]  # key order
 
     def test_slot_reuse_after_prune(self):
         arena = SignatureArena(8, 128)
         arena.update(1, 0b1, 1)
         arena.update(1, 0b1, -1)
-        slots_before = len(arena._bucket_of)
+        capacity = arena.capacity
         arena.update(2, 0b10, 1)
         # The freed slot is recycled, not grown past.
-        assert len(arena._bucket_of) == slots_before
+        assert arena.capacity == capacity == 1
+
+    def test_decode_range_selects_keys(self):
+        arena = SignatureArena(8, 128)
+        arena.update(3, 0b1, 1)
+        arena.update(17, 0b10, 1)
+        arena.update(17, 0b100, 1)
+        arena.update(40, 0b1000, 1)
+        assert arena.decode_range(0, 16) == ([0b1], 0)
+        assert arena.decode_range(16, 32) == ([], 1)
+        assert arena.decode_range(0, 128) == ([0b1, 0b1000], 1)
+        assert arena.decode_slab() == ([0b1, 0b1000], 1)
+
+    def test_wide_pair_codes_decode_scalar(self):
+        arena = SignatureArena(70, 16)
+        code = (1 << 69) | 5
+        arena.update(4, code, 1)
+        assert arena.singleton_at(4) == code
+        assert arena.decode_slab() == ([code], 0)
 
 
 class TestMappingSurface:
@@ -114,14 +141,23 @@ class TestMappingSurface:
 
     def test_items_keys_values(self):
         arena = SignatureArena(8, 128)
-        arena.update(1, 0b1, 1)
         arena.update(2, 0b10, 1)
-        assert sorted(arena.keys()) == [1, 2]
-        assert {b: s for b, s in arena.items()} == {
-            1: make_signature(8, 0b1),
-            2: make_signature(8, 0b10),
-        }
+        arena.update(1, 0b1, 1)
+        assert list(arena.keys()) == [1, 2]
+        assert list(arena.items()) == [
+            (1, make_signature(8, 0b1)),
+            (2, make_signature(8, 0b10)),
+        ]
         assert len(list(arena.values())) == 2
+
+    def test_contains_rejects_foreign_keys(self):
+        arena = SignatureArena(8, 128)
+        arena.update(2, 0b1, 1)
+        assert 2 in arena
+        assert np.int64(2) in arena
+        assert -1 not in arena
+        assert 128 not in arena
+        assert "2" not in arena
 
 
 class TestEquality:
@@ -177,45 +213,140 @@ class TestCopy:
         assert clone != arena
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="batch surface needs numpy")
 class TestBatchSurface:
     def test_resolve_scatter_decode_roundtrip(self):
-        import numpy as np
-
         arena = SignatureArena(4, 128)
-        buckets = np.array([3, 7, 3], dtype=np.int64)
-        slots = arena.resolve_slots(buckets)
+        slots = arena.resolve_slots(keys(3, 7))
         assert len(arena) == 2
-        contrib = np.array(
+        rows = np.array(
             [
-                [1, 1, 0, 1, 0],   # pair 0b0101 into bucket 3
-                [1, 0, 1, 0, 0],   # pair 0b0010 into bucket 7
-                [-1, -1, 0, -1, 0],  # matching delete into bucket 3
+                [0, 0, 0, 0, 0],   # pair 0b0101 inserted and deleted
+                [1, 0, 1, 0, 0],   # pair 0b0010 into key 7
             ],
             dtype=np.int64,
         )
-        np.add.at(arena.view2d(), slots, contrib)
-        touched = np.unique(slots)
-        decoded = arena.decode_slots(touched)
-        arena.free_zero_slots(touched)
+        before_ok, _ = arena.decode_slots_raw(slots)
+        arena.scatter_rows(slots, rows)
+        ok, codes = arena.decode_slots_raw(slots)
+        arena.free_zero_slots(slots)
+        assert not before_ok.any()  # fresh rows are zero
+        assert ok.tolist() == [False, True]
+        assert codes[1] == 0b0010
         assert 3 not in arena
         assert arena.singleton_at(7) == 0b0010
-        # decode_slots saw bucket 3 zeroed (None) and bucket 7 singleton.
-        assert set(decoded) == {None, 0b0010}
 
-    def test_sparse_resolve_path(self):
-        import numpy as np
-
-        # range_size above MAX_DENSE_RANGE forces the dict-based path.
-        arena = SignatureArena(4, 1 << 20)
-        buckets = np.array([123456, 9, 123456], dtype=np.int64)
-        slots = arena.resolve_slots(buckets)
+    def test_resolve_allocates_duplicates_once(self):
+        arena = SignatureArena(4, 128)
+        slots = arena.resolve_slots(keys(9, 4, 9))
         assert slots[0] == slots[2]
         assert len(arena) == 2
+        assert arena.capacity == 2
+
+    def test_resolve_recycles_freed_slots_before_growing(self):
+        arena = SignatureArena(4, 128)
+        slots = arena.resolve_slots(keys(1, 2, 3))
+        arena.free_zero_slots(slots)  # all rows are zero: all freed
+        assert len(arena) == 0
+        again = arena.resolve_slots(keys(50, 60))
+        assert arena.capacity == 3
+        assert sorted(again.tolist() + arena._free) == [0, 1, 2]
+
+    def test_sparse_resolve_path(self):
+        # A key range above MAX_DENSE_KEYS forces the dict-based index.
+        arena = SignatureArena(4, MAX_DENSE_KEYS + 1)
         assert arena._dense is None
+        slots = arena.resolve_slots(keys(MAX_DENSE_KEYS, 9, MAX_DENSE_KEYS))
+        assert slots[0] == slots[2]
+        assert len(arena) == 2
+        arena.scatter_rows(slots[:2], np.ones((2, 5), dtype=np.int64))
+        assert arena.singleton_at(9) == 0b1111
+        arena.scatter_rows(slots[:1], -np.ones((1, 5), dtype=np.int64))
+        arena.free_zero_slots(slots[:2])
+        assert MAX_DENSE_KEYS not in arena
+        assert len(arena) == 1
 
     def test_decode_slots_empty(self):
-        import numpy as np
-
         arena = SignatureArena(4, 128)
-        assert arena.decode_slots(np.array([], dtype=np.int64)) == []
+        ok, codes = arena.decode_slots_raw(np.array([], dtype=np.int64))
+        assert len(ok) == 0 and len(codes) == 0
+
+
+class TestCapacityBound:
+    def test_capacity_never_exceeds_key_range(self):
+        arena = SignatureArena(4, 64)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            batch = np.unique(rng.integers(0, 64, size=40))
+            slots = arena.resolve_slots(batch)
+            signs = rng.choice([-1, 1], size=(len(batch), 1))
+            arena.scatter_rows(slots, signs * np.ones((len(batch), 5), int))
+            arena.free_zero_slots(slots)
+            assert arena.capacity <= 64
+
+    def test_reserved_rows_cost_no_memory_until_used(self):
+        statm = Path("/proc/self/statm")
+        if not statm.exists():
+            pytest.skip("needs /proc/self/statm")
+
+        def resident() -> int:
+            return int(statm.read_text().split()[1]) * 4096
+
+        before = resident()
+        # Reserves ~34 MB of address space for 2^16 rows of 65 counters.
+        arena = SignatureArena(64, 1 << 16)
+        slots = arena.resolve_slots(np.arange(1000))
+        arena.scatter_rows(slots, np.ones((1000, 65), dtype=np.int64))
+        assert resident() - before < 8 << 20
+        assert arena.capacity == 1000
+
+    def test_growth_past_the_reservation_keeps_rows(self, monkeypatch):
+        from repro.sketch import arena as arena_module
+
+        # A 4-row reservation forces the arena to move its rows.
+        monkeypatch.setattr(arena_module, "_RESERVE_BYTES", 8 * 5 * 4)
+        arena = SignatureArena(4, 128)
+        for key in range(10):
+            arena.update(key, key, 1)
+        assert arena.capacity == 10
+        assert [arena.singleton_at(key) for key in range(10)] == list(
+            range(10)
+        )
+        assert arena.view2d().shape == (10, 5)
+
+
+class TestMemoryBound:
+    """Adversarial streams cannot grow a sketch's arena without bound."""
+
+    @staticmethod
+    def assert_bounded(sketch) -> None:
+        arena = sketch._arena
+        params = sketch.params
+        keys = params.num_levels * params.r * params.s
+        assert arena.capacity <= keys
+        # Address space, too, is never reserved past the key range.
+        assert len(arena._mem) <= 8 * arena.stride * keys
+
+    @pytest.mark.parametrize("stream", ["spray", "churn", "carpet"])
+    def test_capacity_stays_within_key_range(self, stream):
+        from repro.sketch import TrackingDistinctCountSketch
+        from repro.streams import CarpetBombing, ChurnStorm, UniformSpray
+        from repro.types import AddressDomain
+
+        updates = list({
+            "spray": lambda: UniformSpray(6000, seed=1),
+            "churn": lambda: ChurnStorm(
+                1500, rounds=3, survivor_dest=9, survivor_sources=200,
+                seed=2,
+            ),
+            "carpet": lambda: CarpetBombing(
+                victims=[3, 4, 5], sources_per_burst=300, gap=200,
+                rounds=2, seed=3,
+            ),
+        }[stream]())
+        sketch = TrackingDistinctCountSketch(
+            AddressDomain(2 ** 32), r=2, s=16, seed=4, backend="packed"
+        )
+        for start in range(0, len(updates), 512):
+            sketch.update_batch(updates[start:start + 512])
+            self.assert_bounded(sketch)
+        sketch.check_invariants()

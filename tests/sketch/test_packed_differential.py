@@ -200,3 +200,109 @@ class TestTrackingSketchDifferential:
         whole.process_stream(make_stream(62, 1000))
         assert whole.structurally_equal(left)
         assert whole.track_topk(5) == left.track_topk(5)
+
+
+class TestFlatEngineEdgeCases:
+    """Inputs aimed at the single-pass engine's sort/segment-sum/free."""
+
+    @pytest.mark.parametrize("tracking", [False, True])
+    def test_insert_and_delete_in_one_batch_frees_rows(self, tracking):
+        cls = TrackingDistinctCountSketch if tracking else DistinctCountSketch
+        packed = cls(DOMAIN, seed=6, backend="packed")
+        reference = cls(DOMAIN, seed=6)
+        keep = FlowUpdate(11, 3, 1)
+        batch = [FlowUpdate(5, 9, 1), keep, FlowUpdate(5, 9, -1)]
+        packed.update_batch(batch)
+        reference.process_stream(batch)
+        assert packed.structurally_equal(reference)
+        arena = packed._arena
+        # The cancelled pair's rows netted to zero inside the batch and
+        # were freed at once: only ``keep``'s rows stay occupied.
+        assert len(arena) == packed.params.r == reference.occupied_buckets()
+        assert arena.capacity - len(arena) == len(arena._free)
+        if tracking:
+            packed.check_invariants()
+
+    def test_duplicate_pairs_within_a_chunk(self):
+        rng = random.Random(71)
+        pairs = [(rng.randrange(DOMAIN.m), rng.randrange(20)) for _ in range(40)]
+        batch = [
+            FlowUpdate(source, dest, 1)
+            for source, dest in pairs
+            for _ in range(3)
+        ]
+        batch += [FlowUpdate(source, dest, -1) for source, dest in pairs[:15]]
+        rng.shuffle(batch)
+        packed = TrackingDistinctCountSketch(DOMAIN, seed=7, backend="packed")
+        reference = TrackingDistinctCountSketch(DOMAIN, seed=7)
+        packed.update_batch(batch)
+        reference.process_stream(batch)
+        assert packed.structurally_equal(reference)
+        packed.check_invariants()
+        assert packed.track_topk(5) == reference.track_topk(5)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 5000])
+    def test_chunks_crossing_every_level(self, batch_size):
+        # A small domain has few enough pairs to enumerate, so the
+        # stream can hold pairs of every level, top level included.
+        domain = AddressDomain(2 ** 8)
+        probe = DistinctCountSketch(domain, seed=12)
+        by_level = {}
+        for source in range(domain.m):
+            for dest in range(domain.m):
+                level = probe.level_of(source, dest)
+                by_level.setdefault(level, []).append((source, dest))
+        assert len(by_level) == probe.params.num_levels
+        rng = random.Random(13)
+        updates = []
+        for level in sorted(by_level):
+            chosen = by_level[level][:40]
+            updates += [FlowUpdate(s, d, 1) for s, d in chosen]
+            # Delete a quarter: rare top levels keep their lone pair.
+            doomed = chosen[:len(chosen) // 4]
+            updates += [FlowUpdate(s, d, -1) for s, d in doomed]
+        rng.shuffle(updates)
+        packed = TrackingDistinctCountSketch(domain, seed=12, backend="packed")
+        reference = TrackingDistinctCountSketch(domain, seed=12)
+        packed.process_stream(updates, batch_size=batch_size)
+        reference.process_stream(updates)
+        assert packed.active_levels() == packed.params.num_levels
+        assert packed.structurally_equal(reference)
+        packed.check_invariants()
+        assert packed.base_topk(5) == reference.base_topk(5)
+
+    def test_batch_beyond_one_segment_sum_pass(self):
+        # More than 2^16 repeats of one pair in one batch: the engine
+        # splits it so no 16-bit bit-counter lane can overflow.
+        hot = FlowUpdate(300, 7, 1)
+        batch = [hot] * 70000 + make_stream(81, 500)
+        whole = DistinctCountSketch(DOMAIN, seed=8, backend="packed")
+        chunked = DistinctCountSketch(DOMAIN, seed=8, backend="packed")
+        whole.update_batch(batch)
+        chunked.process_stream(batch, batch_size=1000)
+        assert whole.structurally_equal(chunked)
+        level = whole.level_of(300, 7)
+        bucket = whole.inner_bucket(0, 300, 7)
+        assert whole.signature_at(level, 0, bucket).total >= 70000
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            FlowUpdate(-1, 3, 1),
+            FlowUpdate(DOMAIN.m, 3, 1),
+            FlowUpdate(3, 2 ** 70, 1),
+            FlowUpdate(-(2 ** 70), 3, 1),
+        ],
+        ids=["negative", "too-large", "beyond-int64", "below-int64"],
+    )
+    def test_out_of_domain_rejects_whole_batch(self, bad):
+        from repro.exceptions import DomainError
+
+        sketch = TrackingDistinctCountSketch(DOMAIN, seed=9, backend="packed")
+        sketch.update_batch(make_stream(91, 200))
+        before = sketch.copy()
+        with pytest.raises(DomainError):
+            sketch.update_batch(make_stream(92, 300) + [bad])
+        assert sketch.updates_processed == before.updates_processed
+        assert sketch.structurally_equal(before)
+        sketch.check_invariants()

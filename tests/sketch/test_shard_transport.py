@@ -158,6 +158,44 @@ class TestArenaDeltaTracking:
         buckets, rows = arena.drain_deltas()
         assert list(buckets) == []
 
+    def test_slot_rebound_to_another_key_between_drains(self):
+        # The dirty log is keyed by flat key, not by slot: key 3's slot
+        # is freed and re-bound to key 7 before the drain, and both
+        # keys still ship their exact deltas.
+        arena = self.make()
+        arena.update(3, 0b1, +1)
+        arena.drain_deltas()
+        arena.update(3, 0b1, -1)
+        arena.update(7, 0b10, +1)
+        assert arena.capacity == 1  # one slot, used by both keys
+        buckets, rows = arena.drain_deltas()
+        got = dict(zip(buckets.tolist(), rows.reshape(-1, 9).tolist()))
+        assert got == {
+            3: [-1, -1, 0, 0, 0, 0, 0, 0, 0],
+            7: [1, 0, 1, 0, 0, 0, 0, 0, 0],
+        }
+
+    def test_batch_rebinding_and_net_zero_rows(self):
+        import numpy as np
+
+        arena = self.make()
+        one = np.ones((1, 9), dtype=np.int64)
+        slots = arena.resolve_slots(np.array([3]))
+        arena.note_touched(slots)
+        arena.scatter_rows(slots, one)
+        arena.drain_deltas()
+        # One batch frees key 3 and rebinds its slot to key 7; another
+        # touches key 5 and reverts it, so it nets to zero.
+        for key, row in ((3, -one), (7, one), (5, one), (5, -one)):
+            slots = arena.resolve_slots(np.array([key]))
+            arena.note_touched(slots)
+            arena.scatter_rows(slots, row)
+            arena.free_zero_slots(slots)
+        buckets, rows = arena.drain_deltas()
+        got = dict(zip(buckets.tolist(), rows.reshape(-1, 9).tolist()))
+        assert got == {3: [-1] * 9, 7: [1] * 9}
+        assert 5 not in arena and len(arena) == 1
+
     def test_pickle_roundtrip_drops_dirty_index(self):
         import pickle
 
@@ -167,6 +205,29 @@ class TestArenaDeltaTracking:
         assert restored == arena
         buckets, _rows = restored.drain_deltas()
         assert list(buckets) == []
+
+    @pytest.mark.parametrize(
+        "lo, hi, itemsize",
+        [
+            (-128, 127, 1),
+            (-129, 0, 2),
+            (0, 128, 2),
+            (-(2 ** 15), 2 ** 15 - 1, 2),
+            (0, 2 ** 15, 4),
+            (-(2 ** 31), 2 ** 31 - 1, 4),
+            (0, 2 ** 31, 8),
+            (-(2 ** 63), 2 ** 63 - 1, 8),
+        ],
+    )
+    def test_delta_reply_dtype_holds_every_value(self, lo, hi, itemsize):
+        import numpy as np
+
+        from repro.sketch.process_pool import _narrow_ints
+
+        values = np.array([lo, 0, hi], dtype=np.int64)
+        narrowed = _narrow_ints(values)
+        assert narrowed.dtype.itemsize == itemsize
+        assert narrowed.astype(np.int64).tolist() == [lo, 0, hi]
 
 
 class TestTransportResolution:

@@ -23,6 +23,7 @@ import pytest
 
 from repro.resilience import DurableSketch
 from repro.sketch import (
+    CountSignature,
     DistinctCountSketch,
     ShardedSketch,
     TrackingDistinctCountSketch,
@@ -56,25 +57,34 @@ def make_stream(
     return updates
 
 
+def level_signatures(
+    sketch: DistinctCountSketch, level: int
+) -> List[CountSignature]:
+    """Every occupied signature of ``level``, on either backend."""
+    return [
+        signature
+        for at, _, _, signature in sketch._iter_signatures()
+        if at == level
+    ]
+
+
 def oracle_dsample(sketch: DistinctCountSketch, level: int) -> Set[int]:
     """Scalar ``GetdSample`` oracle: per-signature ``recover_singleton``."""
     sample: Set[int] = set()
-    for store in sketch._tables[level]:
-        for signature in store.values():
-            code = signature.recover_singleton()
-            if code is not None:
-                sample.add(code)
+    for signature in level_signatures(sketch, level):
+        code = signature.recover_singleton()
+        if code is not None:
+            sample.add(code)
     return sample
 
 
 def oracle_collisions(sketch: DistinctCountSketch, level: int) -> int:
     """Occupied buckets at ``level`` that fail the singleton test."""
-    collisions = 0
-    for store in sketch._tables[level]:
-        for signature in store.values():
-            if signature.recover_singleton() is None:
-                collisions += 1
-    return collisions
+    return sum(
+        1
+        for signature in level_signatures(sketch, level)
+        if signature.recover_singleton() is None
+    )
 
 
 def assert_decode_matches_oracle(sketch: DistinctCountSketch) -> None:

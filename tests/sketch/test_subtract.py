@@ -19,6 +19,7 @@ import pytest
 from repro.exceptions import MergeError
 from repro.sketch import DistinctCountSketch, TrackingDistinctCountSketch
 from repro.sketch.arena import SignatureArena
+from repro.sketch.dcs import update_batch_shared
 from repro.sketch.signature import CountSignature
 from repro.types import AddressDomain, FlowUpdate
 
@@ -168,3 +169,62 @@ class TestSketchSubtract:
             whole.track_topk(5).as_dict()
             == suffix_only.track_topk(5).as_dict()
         )
+
+
+class TestSharedHashPass:
+    """Window sum and open sub-epoch fed from one shared hash pass."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 333])
+    def test_shared_window_equals_from_scratch(self, chunk: int) -> None:
+        """A 3-sub-epoch window fed by ``update_batch_shared`` stays
+        bit-identical to a from-scratch sketch of its in-window
+        updates, through every advance and expiry."""
+        updates = make_stream(8, 3000)
+        length = 500
+        window_sum = DistinctCountSketch(DOMAIN, seed=9, backend="packed")
+        ring: List[DistinctCountSketch] = []
+        current = DistinctCountSketch(DOMAIN, seed=9, backend="packed")
+        fed_so_far = 0
+        for start in range(0, len(updates), chunk):
+            part = updates[start:start + chunk]
+            while part:
+                room = length - current.updates_processed
+                update_batch_shared((current, window_sum), part[:room])
+                fed_so_far += len(part[:room])
+                part = part[room:]
+                if current.updates_processed == length:
+                    ring.append(current)
+                    if len(ring) > 2:
+                        window_sum.subtract(ring.pop(0))
+                    current = DistinctCountSketch(
+                        DOMAIN, seed=9, backend="packed"
+                    )
+                    horizon = max(0, fed_so_far - 2 * length)
+                    expected = fed(updates[horizon:fed_so_far], "packed")
+                    assert window_sum.structurally_equal(expected)
+                    assert current.is_empty
+        assert fed_so_far == len(updates)
+
+    def test_shared_pass_matches_separate_feeds(self) -> None:
+        updates = make_stream(9, 1200)
+        pair = (
+            TrackingDistinctCountSketch(DOMAIN, seed=9, backend="packed"),
+            DistinctCountSketch(DOMAIN, seed=9, backend="packed"),
+        )
+        pair[1].update_batch(updates[:400])  # different prior states
+        update_batch_shared(pair, updates[400:])
+        pair[0].check_invariants()
+        assert pair[0].structurally_equal(fed(updates[400:], "reference"))
+        assert pair[1].structurally_equal(fed(updates, "reference"))
+
+    def test_incompatible_sketches_rejected(self) -> None:
+        from repro.exceptions import ParameterError
+
+        with pytest.raises(ParameterError):
+            update_batch_shared(
+                (
+                    DistinctCountSketch(DOMAIN, seed=1, backend="packed"),
+                    DistinctCountSketch(DOMAIN, seed=2, backend="packed"),
+                ),
+                make_stream(1, 10),
+            )
