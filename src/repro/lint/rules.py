@@ -180,7 +180,9 @@ class FloatInCounterPathRule(Rule):
     title = "no float arithmetic in counter hot paths"
     invariant = "exact integer counters / delete-resistance (Section 3)"
 
-    #: module -> function names forming the hot path (None = whole module).
+    #: module -> function names forming the hot path (None = whole
+    #: module).  Every name must be defined in its module (a test
+    #: checks), so a renamed hot path cannot drop out unnoticed.
     HOT_PATHS: Dict[str, Optional[FrozenSet[str]]] = {
         "repro.sketch.signature": None,
         "repro.sketch.arena": None,
@@ -188,14 +190,16 @@ class FloatInCounterPathRule(Rule):
             {"update", "insert", "delete", "process", "process_stream",
              "update_batch", "update_batch_shared", "_account",
              "_update_pair", "_apply_pair", "_apply_pairs",
-             "_hash_batch", "_segment_rows", "_add_rows", "merge",
+             "_flat_keys", "_segment", "_segment_rows", "_add_rows",
+             "merge",
              "subtract", "_fold_signatures", "apply_bucket_deltas"}
         ),
         "repro.sketch.batch": None,
+        # The tracking sketch inherits update/insert/.../update_batch;
+        # only the functions it defines itself are listed here.
         "repro.sketch.tracking": frozenset(
-            {"update", "insert", "delete", "process", "process_stream",
-             "update_batch", "_update_pair", "_apply_pair",
-             "_add_rows", "_add_singleton_occurrence",
+            {"_apply_pair", "_add_rows", "_apply_singleton_changes",
+             "add_count", "_add_singleton_occurrence",
              "_remove_singleton_occurrence"}
         ),
         "repro.hashing.universal": frozenset(

@@ -58,7 +58,6 @@ from ..obs.trace import span as trace_span
 from ..resilience.durable import DurableSketch
 from ..sketch import DistinctCountSketch
 from ..sketch.batch import EncodedBatch, encode_batch
-from ..sketch.dcs import update_batch_shared
 from ..sketch.estimate import TopKResult
 from ..types import AddressDomain, FlowUpdate
 from .threshold import CrossingEvent, diff_crossings, publish_crossings
@@ -292,11 +291,13 @@ class SlidingWindowSketch:
 
         The batch is validated and encoded once up front, so an invalid
         update rejects it before any sub-epoch changes.  The open
-        sketch and the running sum share a seed, so each chunk is
-        hashed, sorted and segment-summed once for both
-        (:func:`~repro.sketch.dcs.update_batch_shared`); a durable open
-        sub-epoch logs its chunk to the WAL first.  Returns the update
-        count.
+        sketch and the running sum share params and seed, so the
+        batch's memo (:class:`~repro.sketch.batch.EncodedBatch`) hashes,
+        sorts and segment-sums each chunk once for both — and when the
+        window shares them with the monitor's tracking sketch too, a
+        chunk that fits the open sub-epoch is the monitor's own chunk,
+        memo and all.  A durable open sub-epoch logs its chunk to the
+        WAL first.  Returns the update count.
         """
         batch = encode_batch(self.domain, updates)
         total = len(batch)
@@ -307,9 +308,9 @@ class SlidingWindowSketch:
             start += len(chunk)
             if self._durable is not None:
                 self._durable.update_batch(chunk)
-                self._sum.update_batch(chunk)
             else:
-                update_batch_shared((self._current, self._sum), chunk)
+                self._current.update_batch(chunk)
+            self._sum.update_batch(chunk)
             self._updates_seen += len(chunk)
             self._updates_in_subepoch += len(chunk)
             if self._updates_in_subepoch >= self.subepoch_length:

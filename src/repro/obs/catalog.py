@@ -138,7 +138,8 @@ SKETCH_SCALAR_FALLBACKS = MetricSpec(
 TRACKING_SINGLETON_EVENTS = MetricSpec(
     name="repro_tracking_singleton_events_total",
     kind="counter",
-    help="Distinct pairs entering/leaving a level's tracked sample.",
+    help="Distinct pairs entering/leaving a level's tracked sample "
+         "(the batch path counts netted entries/exits per chunk).",
     labels=("event",),
     paper_ref="§5 Fig. 6 steps 8-12 (remove) and 18-22 (add)",
 )
@@ -146,7 +147,9 @@ TRACKING_SINGLETON_EVENTS = MetricSpec(
 TRACKING_HEAP_OPS = MetricSpec(
     name="repro_tracking_heap_ops_total",
     kind="counter",
-    help="topDestHeap adjustments across levels b..0 (heap churn).",
+    help="topDestHeap adjustments across levels b..0 (heap churn; the "
+         "batch path counts one netted add_to per dest and level per "
+         "chunk).",
     labels=("op",),
     paper_ref="§5 Fig. 6 heap adjustments; the O(r log^2 m) term",
 )

@@ -30,6 +30,7 @@ from ..obs.recorder import current_recorder
 from ..obs.registry import Registry, registry_or_null
 from ..obs.trace import span as trace_span
 from ..sketch import serialize
+from ..sketch.batch import EncodedBatch
 from ..sketch.dcs import DistinctCountSketch
 from ..sketch.params import SketchParams
 from ..sketch.tracking import TrackingDistinctCountSketch
@@ -268,14 +269,20 @@ class DurableSketch:
         self.sketch.process(update)
         self._bump(1)
 
-    def update_batch(self, updates: Iterable[FlowUpdate]) -> int:
+    def update_batch(
+        self, updates: Union[EncodedBatch, Iterable[FlowUpdate]]
+    ) -> int:
         """Log a batch as one WAL record, then apply it; returns the
-        number of updates ingested."""
+        number of updates ingested.  An
+        :class:`~repro.sketch.batch.EncodedBatch` reaches the sketch as
+        is, so its hashing memo carries over."""
         batch = list(updates)
         if not batch:
             return 0
         self.wal.append_batch(batch)
-        self.sketch.update_batch(batch)
+        self.sketch.update_batch(
+            updates if isinstance(updates, EncodedBatch) else batch
+        )
         self._bump(len(batch))
         return len(batch)
 

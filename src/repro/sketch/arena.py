@@ -12,8 +12,11 @@ every signature of a whole sketch into one flat int64 buffer of stride
 Rows are addressed by a *flat key*.  A sketch maps bucket ``b`` of
 inner table ``j`` at level ``l`` to ``(l * r + j) * s + b``, so one
 dense ``key -> slot`` index (and its inverse, ``slot -> key``) covers
-all ``num_levels * r`` tables, and a whole batch resolves, scatters and
-decodes with one numpy call per step instead of one per table.  Rows
+all ``num_levels * r`` tables, and a whole batch's row add is one
+fused pass (:meth:`SignatureArena.add_rows`): one slot resolution, one
+gather of the touched rows, one write-back — with the tracking
+sketch's before/after singleton decode run on the gathered copy in
+between (:meth:`SignatureArena.add_rows_diff`).  Rows
 that net back to zero are freed and their slots recycled (freed rows
 are all-zero, so reuse needs no clearing); the row count therefore
 never exceeds the number of keys.
@@ -329,34 +332,6 @@ class SignatureArena:
         slots[missing] = self._lookup_slots(keys[missing])
         return slots
 
-    def free_zero_slots(self, slots: Any) -> None:  # hot-path
-        """Release every given slot whose row netted to all zeros.
-
-        ``slots`` must hold distinct occupied slot indices.  Only rows
-        with a zero total can be all-zero, so the full-row test runs
-        on those alone.
-        """
-        if len(slots) == 0:
-            return
-        view = self.view2d()
-        candidates = slots[view[slots, 0] == 0]
-        if len(candidates) == 0:
-            return
-        dead = candidates[~view[candidates].any(axis=1)]
-        if len(dead) == 0:
-            return
-        key_view = self.slot_keys()
-        keys = key_view[dead]
-        if self._dense is not None:
-            self._dense[keys] = 0
-        else:
-            sparse = self._sparse
-            for key in keys.tolist():
-                del sparse[key]
-        key_view[dead] = -1
-        self._free.extend(dead.tolist())
-        self._occupied -= len(dead)
-
     # -- delta propagation (dirty-key tracking) ------------------------------
 
     def track_deltas(self, enabled: bool = True) -> None:
@@ -385,12 +360,12 @@ class SignatureArena:
         rows[present] = self.view2d()[slots[present]]
         return rows
 
-    def _note_keys(self, keys: Any, slots: Any) -> None:  # hot-path
+    def _note_keys(self, keys: Any, rows: Any) -> None:  # hot-path
         """Record baselines for distinct ``keys`` about to be mutated.
 
-        ``slots`` are the keys' current slots (-1 where absent).  Called
-        before the mutation, so every baseline is the pre-mutation
-        image.  No-op unless tracking is on.
+        ``rows`` are the keys' current counter rows (zeros where a key
+        holds no row), taken before the mutation, so every baseline is
+        the pre-mutation image.  No-op unless tracking is on.
         """
         log = self._deltas
         if log is None:
@@ -398,18 +373,13 @@ class SignatureArena:
         fresh = log.first_touch(keys)
         if bool(fresh.any()):
             log.keys.append(keys[fresh])
-            log.rows.append(self._current_rows(slots[fresh]))
-
-    def note_touched(self, slots: Any) -> None:  # hot-path
-        """Record baselines for a batch scatter's distinct occupied slots."""
-        if self._deltas is not None:
-            self._note_keys(self.slot_keys()[slots], slots)
+            log.rows.append(rows[fresh])
 
     def _note_key(self, key: int) -> None:
         """Scalar form of :meth:`_note_keys` for the per-update paths."""
         self._note_keys(
             _np.array([key], dtype=_np.int64),
-            _np.array([self._slot(key)], dtype=_np.int64),
+            self._current_rows(_np.array([self._slot(key)], dtype=_np.int64)),
         )
 
     # linear: delta extraction is exact counter subtraction (RL013)
@@ -546,22 +516,106 @@ class SignatureArena:
         self._view = view
         return view
 
-    # linear: a batch scatter is exact integer addition (RL013)
-    def scatter_rows(self, slots: Any, rows: Any) -> None:  # hot-path
-        """Add ``rows`` into the rows at distinct ``slots`` in place."""
-        view = self.view2d()
-        view[slots] += rows
+    def _gather(self, keys: Any) -> Tuple[Any, Any]:  # hot-path
+        """Resolve distinct ``keys`` and copy their rows out, once.
 
-    def decode_slots_raw(self, slots: Any) -> Tuple[Any, Any]:  # hot-path
-        """Vectorized singleton decode of the given slot rows.
-
-        Returns ``(ok, codes)``: a bool singleton mask and the uint64
-        pair code per row (meaningful only where ``ok``).  Zeroed
-        (freed or fresh) rows decode to not-ok, so the same call serves
-        as the before- and after-image of a batch scatter.
+        Returns ``(slots, rows)``: the keys' slots (allocated on miss,
+        so fresh keys read zero rows) and an independent copy of their
+        counter rows, which also serves as the delta baselines when a
+        transport tracks them.
         """
-        ok, ne = singleton_mask(self.view2d()[slots])
-        return ok, pack_codes(~ne[:, 1:])
+        slots = self.resolve_slots(keys)
+        rows = self.view2d()[slots]
+        self._note_keys(keys, rows)
+        return slots, rows
+
+    def _write_back(
+        self, keys: Any, slots: Any, rows: Any
+    ) -> None:  # hot-path
+        """Store ``rows`` at ``slots``; free the rows that are all zero.
+
+        Only rows with a zero total can be all-zero, so the full-row
+        test runs on those alone, on the copy rather than the arena.
+        """
+        self.view2d()[slots] = rows
+        candidates = _np.flatnonzero(rows[:, 0] == 0)
+        if len(candidates) == 0:
+            return
+        dead = candidates[~rows[candidates].any(axis=1)]
+        if len(dead) == 0:
+            return
+        dead_keys = keys[dead]
+        dead_slots = slots[dead]
+        if self._dense is not None:
+            self._dense[dead_keys] = 0
+        else:
+            sparse = self._sparse
+            for key in dead_keys.tolist():
+                del sparse[key]
+        self.slot_keys()[dead_slots] = -1
+        self._free.extend(dead_slots.tolist())
+        self._occupied -= len(dead)
+
+    # linear: a batch row add is exact integer addition (RL013)
+    def add_rows(self, keys: Any, rows: Any) -> None:  # hot-path
+        """Add counter ``rows`` into the rows of distinct ``keys``.
+
+        One fused pass: resolve (allocating on miss), gather the
+        touched rows once, add, write back once, and free the rows
+        that netted to zero.
+        """
+        slots, current = self._gather(keys)
+        current += rows
+        self._write_back(keys, slots, current)
+
+    # linear: a batch row add is exact integer addition (RL013)
+    def add_rows_diff(
+        self, keys: Any, rows: Any
+    ) -> Tuple[Any, Any, Any, Any, Any]:  # hot-path
+        """:meth:`add_rows`, reporting each row's singleton change.
+
+        The slab-decode kernel runs on the one gathered copy before and
+        after the add, so the diff needs no further arena reads.
+        Returns ``(index, before_ok, before_codes, after_ok,
+        after_codes)`` for the rows whose singleton occupant changed:
+        their positions in ``keys``, whether each was a singleton
+        before and after, and the uint64 pair codes (meaningful only
+        where the matching mask is set; Python ints in an object array
+        past 64 bits).  Zeroed (fresh or freed) rows decode as not-ok.
+        """
+        slots, current = self._gather(keys)
+        before_ok, before_ne = singleton_mask(current)
+        current += rows
+        after_ok, after_ne = singleton_mask(current)
+        self._write_back(keys, slots, current)
+        changed = before_ok != after_ok
+        both = _np.flatnonzero(before_ok & after_ok)
+        if len(both):
+            changed[both] = (
+                before_ne[both, 1:] != after_ne[both, 1:]
+            ).any(axis=1)
+        index = _np.flatnonzero(changed)
+        return (
+            index,
+            before_ok[index],
+            self._codes(~before_ne[index, 1:]),
+            after_ok[index],
+            self._codes(~after_ne[index, 1:]),
+        )
+
+    def _codes(self, bits: Any) -> Any:  # hot-path
+        """Pair codes from a ``(rows, pair_bits)`` bit mask.
+
+        uint64 codes (:func:`pack_codes`) up to 64 bits; wider pairs
+        come back as Python ints in an object array.
+        """
+        if self.pair_bits <= 64:
+            return pack_codes(bits)
+        packed = _np.packbits(bits, axis=1, bitorder="little")
+        return _np.array(
+            [int.from_bytes(row.tobytes(), "little") for row in packed],
+            dtype=object,
+        )
 
     def decode_keys(
         self, select: Any = None, narrow: bool = False

@@ -1,4 +1,4 @@
-"""Encoded batches: a flow-update batch validated and encoded once.
+"""Encoded batches: a flow-update batch validated, encoded and hashed once.
 
 Every batched ingest path starts by turning ``FlowUpdate`` objects into
 pair codes and deltas.  :func:`encode_batch` does that for a whole
@@ -9,11 +9,29 @@ the sliding window, and any check-interval or sub-epoch split is a
 cheap slice of the arrays.  Because validation covers the whole batch
 before any consumer sees it, a batch with one bad update is rejected
 before a single counter moves.
+
+A batch also remembers the packed engine's work on it.  Sketches that
+share params and seed (one *family*) map an update to the same flat
+bucket keys, so the root batch's key matrix is hashed once per family
+and every slice reads its rows of it; each batch (or slice) keeps its
+sorted, segment-summed ``(keys, rows)`` per family, so a second sketch
+of the family fed the same chunk only resolves slots and adds rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from .._accel import np as _np
 from ..exceptions import DomainError, ParameterError
@@ -22,6 +40,15 @@ from ..types import AddressDomain, FlowUpdate
 
 class EncodedBatch:
     """A validated batch: the updates plus their pair codes and deltas.
+
+    Treat a batch as immutable once built: slices share its arrays, and
+    the memo below assumes the codes never change under it.
+
+    The memo holds what the packed engine derived from the batch, per
+    sketch family (:meth:`flat_keys` and :meth:`segment` document the
+    two entries).  Slices record their offset into the root batch, so
+    they share the root's key matrices; a slice that covers the whole
+    batch is the batch itself, memo included.
 
     Attributes:
         m: size of the address domain the codes were encoded for.
@@ -32,15 +59,33 @@ class EncodedBatch:
         deltas: int64 ndarray of ``+1``/``-1`` deltas.
     """
 
-    __slots__ = ("m", "updates", "codes", "deltas")
+    __slots__ = (
+        "m", "updates", "codes", "deltas",
+        "_root", "_offset", "_flat_keys", "_segments",
+    )
 
     def __init__(
-        self, m: int, updates: List[FlowUpdate], codes: Any, deltas: Any
+        self,
+        m: int,
+        updates: List[FlowUpdate],
+        codes: Any,
+        deltas: Any,
+        root: Optional["EncodedBatch"] = None,
+        offset: int = 0,
     ) -> None:
         self.m = m
         self.updates = updates
         self.codes = codes
         self.deltas = deltas
+        # The batch this one was sliced from (None for a root: a root
+        # pointing at itself would be a cycle only the GC could free),
+        # and where this one starts in it.
+        self._root = root
+        self._offset = offset
+        # Root only: family -> (len(root), r) flat-key matrix.
+        self._flat_keys: Dict[Hashable, Any] = {}
+        # family -> (distinct keys, summed counter rows) of this batch.
+        self._segments: Dict[Hashable, Tuple[Any, Any]] = {}
 
     @property
     def vectorized(self) -> bool:
@@ -56,6 +101,43 @@ class EncodedBatch:
         """Number of ``+1`` updates in the batch."""
         return int((self.deltas > 0).sum())
 
+    def flat_keys(
+        self, family: Hashable, hash_codes: Callable[[Any], Any]
+    ) -> Any:  # hot-path
+        """This batch's rows of the family's flat-key matrix.
+
+        ``hash_codes`` maps a code array to its ``(n, r)`` flat-key
+        matrix; it runs at most once per family, on the root batch's
+        codes, and every slice of the root reads its own rows of the
+        result.
+        """
+        root = self if self._root is None else self._root
+        matrix = root._flat_keys.get(family)
+        if matrix is None:
+            matrix = hash_codes(root.codes)
+            root._flat_keys[family] = matrix
+        if root is self:
+            return matrix
+        return matrix[self._offset:self._offset + len(self.codes)]
+
+    def segment(
+        self,
+        family: Hashable,
+        sum_rows: Callable[["EncodedBatch"], Tuple[Any, Any]],
+    ) -> Tuple[Any, Any]:  # hot-path
+        """The family's ``(keys, rows)`` segment-sum of this batch.
+
+        ``sum_rows`` computes it from the batch on the first call for
+        the family; later calls — another sketch of the family fed the
+        same batch — return the remembered pair.  Callers must not
+        modify either array.
+        """
+        found = self._segments.get(family)
+        if found is None:
+            found = sum_rows(self)
+            self._segments[family] = found
+        return found
+
     def __len__(self) -> int:
         return len(self.updates)
 
@@ -63,12 +145,22 @@ class EncodedBatch:
         return iter(self.updates)
 
     def __getitem__(self, index: slice) -> "EncodedBatch":
-        """A sub-batch (slices only); shares the parent's arrays."""
+        """A contiguous sub-batch sharing the parent's arrays and memo.
+
+        A slice covering the whole batch returns the batch itself.
+        """
+        start, stop, step = index.indices(len(self.updates))
+        if step != 1:
+            raise ParameterError("EncodedBatch slices must be contiguous")
+        if start == 0 and stop == len(self.updates):
+            return self
         return EncodedBatch(
             self.m,
-            self.updates[index],
-            self.codes[index],
-            self.deltas[index],
+            self.updates[start:stop],
+            self.codes[start:stop],
+            self.deltas[start:stop],
+            self if self._root is None else self._root,
+            self._offset + start,
         )
 
     def __repr__(self) -> str:

@@ -106,16 +106,16 @@ def update_batch_shared(
     sketches: Sequence["DistinctCountSketch"],
     updates: Union[EncodedBatch, Iterable[FlowUpdate]],
 ) -> int:  # hot-path
-    """Feed one batch to several same-seed sketches with one hash pass.
+    """Feed one batch to several same-seed sketches.
 
     Every sketch ends up exactly as if it had run
-    :meth:`DistinctCountSketch.update_batch` on the batch, but the
-    batch is encoded once and — when every sketch is packed — hashed,
-    sorted and segment-summed once: sketches that share params and
-    seed map an update to the same flat keys, so only slot resolution
-    and the row add run per sketch.  This is how a sliding window feeds
-    its open sub-epoch and its running sum together.  Returns the
-    number of updates applied.
+    :meth:`DistinctCountSketch.update_batch` on the batch — which is
+    what this does, sketch by sketch, on one encoded batch.  Sketches
+    that share params and seed map an update to the same flat keys, so
+    the batch's memo (:class:`~repro.sketch.batch.EncodedBatch`) hashes,
+    sorts and segment-sums it once for all of them; only slot
+    resolution and the row add run per sketch.  The batch is validated
+    before any sketch changes.  Returns the number of updates applied.
 
     Raises:
         ParameterError: when the sketches do not share params and seed.
@@ -125,28 +125,10 @@ def update_batch_shared(
         raise ParameterError(
             "update_batch_shared needs sketches with one params/seed"
         )
-    with trace_span("sketch.update_batch"):
-        batch = encode_batch(first.domain, updates)
-        count = len(batch)
-        if not count:
-            return 0
-        if batch.vectorized and all(
-            sketch._arena is not None for sketch in sketches
-        ):
-            for lo in range(0, count, _LANE_LIMIT):
-                part = batch[lo:lo + _LANE_LIMIT]
-                keys, order, starts = first._hash_batch(part)
-                with trace_span("sketch.scatter"):
-                    rows = first._segment_rows(part, order, starts)
-                    for sketch in sketches:
-                        sketch._add_rows(keys, rows)
-        else:
-            for sketch in sketches:
-                sketch._apply_pairs(batch)
-        inserts = batch.inserts()
-        for sketch in sketches:
-            sketch._account(count, inserts)
-        return count
+    batch = encode_batch(first.domain, updates)
+    for sketch in sketches:
+        sketch.update_batch(batch)
+    return len(batch)
 
 
 class DistinctCountSketch:
@@ -215,6 +197,9 @@ class DistinctCountSketch:
         #: Flat keys per level: bucket ``b`` of table ``j`` at level
         #: ``l`` lives at key ``l * _level_keys + j * s + b``.
         self._level_keys = params.r * params.s
+        #: Memo key of this sketch's hashing in an EncodedBatch: every
+        #: sketch with equal params and seed hashes alike.
+        self._family = (params, self.seed)
         # Exactly one of the two stores is in use: the reference
         # backend's per-table dicts, or the packed backend's one arena.
         self._tables: List[LevelTables] = []
@@ -341,15 +326,33 @@ class DistinctCountSketch:
         sketch is a linear transform of the update multiset).  The
         batch is validated and encoded in one vectorized pass (an
         :class:`~repro.sketch.batch.EncodedBatch` is taken as is); on
-        the packed backend the whole batch is then hashed once, its
-        ``n * r`` flat bucket keys sorted once, the counter rows of
-        equal keys summed in one segment-sum, and the sums added into
-        the arena in one scatter.  The insert/delete observability
-        counters receive one aggregated ``inc(n)`` each.  Returns the
-        number of updates applied; an invalid update rejects the whole
-        batch before any counter changes.
+        the packed backend the batch's ``n * r`` flat bucket keys are
+        then sorted once, the counter rows of equal keys summed in one
+        segment-sum, and the sums added into the arena in one fused
+        pass.  Hashing and segment-summing are remembered by the batch
+        per params/seed, so a same-seed sketch fed the same batch (the
+        monitor's tracking sketch and its window) reuses them.  The
+        insert/delete observability counters receive one aggregated
+        ``inc(n)`` each.  Returns the number of updates applied; an
+        invalid update rejects the whole batch before any counter
+        changes.
         """
-        return update_batch_shared((self,), updates)
+        with trace_span("sketch.update_batch"):
+            batch = encode_batch(self.domain, updates)
+            count = len(batch)
+            if not count:
+                return 0
+            if batch.vectorized and self._arena is not None:
+                family = self._family
+                for lo in range(0, count, _LANE_LIMIT):
+                    part = batch[lo:lo + _LANE_LIMIT]
+                    keys, rows = part.segment(family, self._segment)
+                    with trace_span("sketch.scatter"):
+                        self._add_rows(keys, rows)
+            else:
+                self._apply_pairs(batch)
+            self._account(count, batch.inserts())
+            return count
 
     def _account(self, count: int, inserts: int) -> None:
         """Stream bookkeeping for ``count`` applied updates."""
@@ -407,29 +410,34 @@ class DistinctCountSketch:
         for pair, delta in zip(batch.pairs(), batch.deltas.tolist()):
             apply_pair(pair, delta)
 
-    def _hash_batch(
-        self, batch: EncodedBatch
-    ) -> Tuple[Any, Any, Any]:  # hot-path
-        """Hash a batch once and group its ``n * r`` flat keys.
+    def _flat_keys(self, codes: Any) -> Any:  # hot-path
+        """Hash a code array into its ``(n, r)`` flat-key matrix.
 
-        Returns ``(keys, order, starts)``: the distinct flat keys the
-        batch touches (ascending), the sort permutation of the
-        update-major key matrix (entry ``u * r + j`` is update ``u``'s
-        key in table ``j``), and where each key's run starts in sorted
-        order.  Sorting needs no stability — counter addition commutes
-        — but keys below ``2^16`` sort as uint16, where numpy's stable
-        sort is a linear-time radix sort.
+        Entry ``[u, j]`` is update ``u``'s key in table ``j``.  Runs
+        once per root batch and sketch family
+        (:meth:`~repro.sketch.batch.EncodedBatch.flat_keys`).
         """
         with trace_span("sketch.hash_bulk"):
-            codes = batch.codes
             s = self.params.s
-            levels = self._level_hash.levels_many(codes)
-            base = levels * self._level_keys
+            base = self._level_hash.levels_many(codes) * self._level_keys
             keys = _np.empty((len(codes), self.params.r), dtype=_np.int64)
             for j, inner_hash in enumerate(self._inner_hashes):
                 _np.add(base, inner_hash.hash_many(codes), out=keys[:, j])
                 keys[:, j] += j * s
-            flat = keys.reshape(-1)
+            return keys
+
+    def _segment(self, batch: EncodedBatch) -> Tuple[Any, Any]:  # hot-path
+        """Group a batch's flat keys and sum their counter rows.
+
+        Returns ``(keys, rows)``: the distinct flat keys the batch
+        touches (ascending) and the summed counter row of each
+        (:meth:`_segment_rows`).  The update-major key matrix is sorted
+        once; sorting needs no stability — counter addition commutes —
+        but keys below ``2^16`` sort as uint16, where numpy's stable
+        sort is a linear-time radix sort.
+        """
+        flat = batch.flat_keys(self._family, self._flat_keys).reshape(-1)
+        with trace_span("sketch.scatter"):
             if self.params.num_levels * self._level_keys <= 1 << 16:
                 order = _np.argsort(flat.astype(_np.uint16), kind="stable")
             else:
@@ -439,7 +447,7 @@ class DistinctCountSketch:
             edges[0] = True
             _np.not_equal(ordered[1:], ordered[:-1], out=edges[1:])
             starts = _np.flatnonzero(edges)
-            return ordered[starts], order, starts
+            return ordered[starts], self._segment_rows(batch, order, starts)
 
     def _segment_rows(
         self, batch: EncodedBatch, order: Any, starts: Any
@@ -485,17 +493,15 @@ class DistinctCountSketch:
     def _add_rows(self, keys: Any, rows: Any) -> None:  # hot-path
         """Add summed counter rows into the arena (distinct ``keys``).
 
+        One fused arena pass
+        (:meth:`~repro.sketch.arena.SignatureArena.add_rows`): resolve,
+        gather, add, write back, free the rows that netted to zero.
         Overridden by the tracking sketch to diff singleton state
-        around the add.  Resolves every slot at once, records delta
-        baselines when a transport tracks them, adds in place, and
-        frees the rows that netted to zero.
+        around the add.
         """
         arena = self._arena
         assert arena is not None
-        slots = arena.resolve_slots(keys)
-        arena.note_touched(slots)
-        arena.scatter_rows(slots, rows)
-        arena.free_zero_slots(slots)
+        arena.add_rows(keys, rows)
 
     # -- structural accessors -----------------------------------------------
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple, Union, cast
 
-from .._accel import np as _np
 from ..exceptions import ParameterError
 from ..obs.catalog import (
     TRACKING_HEAP_OPS,
@@ -83,6 +82,24 @@ class SingletonSet:
             del self._counts[pair]
         else:
             self._counts[pair] = count
+        return count
+
+    def add_count(self, pair: int, change: int) -> int:  # hot-path
+        """Move ``pair``'s count by ``change``, deleting at 0.
+
+        The netted form of ``incrCount``/``decrCount``: returns the new
+        count; raises if the count would go negative.
+        """
+        counts = self._counts
+        count = counts.get(pair, 0) + change
+        if count > 0:
+            counts[pair] = count
+        elif count == 0:
+            counts.pop(pair, None)
+        else:
+            raise ParameterError(
+                f"pair {pair} would leave the singleton set below zero"
+            )
         return count
 
     def pairs(self) -> Set[int]:
@@ -204,40 +221,118 @@ class TrackingDistinctCountSketch(DistinctCountSketch):
         The tracked structures are a pure function of the counter state
         (:meth:`check_invariants` is exactly that statement), so diffing
         each touched row's singleton occupant before and after the
-        whole-batch add yields the same final state as replaying the
-        batch update by update.  Both images come from one application
-        of the vectorized slab-decode kernel each over the touched
-        rows, and the diff itself is a numpy comparison — Python only
-        visits the rows whose occupant actually changed, reading each
-        row's level off its flat key.
+        whole-chunk add yields the same final state as replaying the
+        chunk update by update.  The arena's fused add decodes the
+        touched rows before and after on one gathered copy and returns
+        only the rows whose occupant changed
+        (:meth:`~repro.sketch.arena.SignatureArena.add_rows_diff`);
+        :meth:`_apply_singleton_changes` nets those changes before any
+        tracked structure moves.
         """
         arena = self._arena
         assert arena is not None
-        slots = arena.resolve_slots(keys)
-        before_ok, before_codes = arena.decode_slots_raw(slots)
-        arena.note_touched(slots)
-        arena.scatter_rows(slots, rows)
-        after_ok, after_codes = arena.decode_slots_raw(slots)
-        arena.free_zero_slots(slots)
-        changed = (before_ok != after_ok) | (
-            before_ok & after_ok & (before_codes != after_codes)
+        index, before_ok, before_codes, after_ok, after_codes = (
+            arena.add_rows_diff(keys, rows)
         )
-        if not bool(changed.any()):
+        if len(index) == 0:
             return
-        index = _np.nonzero(changed)[0]
-        levels = (keys[index] // self._level_keys).tolist()
-        remove = self._remove_singleton_occurrence
-        add = self._add_singleton_occurrence
-        before_ok_list = before_ok[index].tolist()
-        after_ok_list = after_ok[index].tolist()
-        before_code_list = before_codes[index].tolist()
-        after_code_list = after_codes[index].tolist()
-        for position in range(len(levels)):
-            level = levels[position]
-            if before_ok_list[position]:
-                remove(level, before_code_list[position])
-            if after_ok_list[position]:
-                add(level, after_code_list[position])
+        levels = keys[index] // self._level_keys
+        self._apply_singleton_changes(
+            levels[before_ok].tolist(),
+            before_codes[before_ok].tolist(),
+            levels[after_ok].tolist(),
+            after_codes[after_ok].tolist(),
+        )
+
+    def _apply_singleton_changes(
+        self,
+        gone_levels: List[int],
+        gone_pairs: List[int],
+        new_levels: List[int],
+        new_pairs: List[int],
+    ) -> None:  # hot-path
+        """Apply a chunk's singleton changes, netted twice.
+
+        ``gone_*`` lists the ``(level, pair)`` occupants that rows lost
+        and ``new_*`` those they gained.  First the changes are summed
+        per ``(level, pair)`` into one ``SingletonSet`` count change
+        each; only pairs whose count crosses zero enter or leave a
+        level's sample.  Those are summed per ``(level, dest)``, and
+        each destination's heaps then take one cumulative ``add_to``
+        per level, from its top changed level down to 0 — level ``l``'s
+        heap counts the sample of levels ``>= l``.  Heap ties break by
+        key, so the netted heaps answer every query exactly as the
+        per-update replay's do.  Keys are plain ints
+        (``level << pair_bits | pair`` and ``dest * num_levels +
+        depth``), and the event counters count netted events.
+        """
+        shift = self.params.pair_bits
+        pair_mask = (1 << shift) - 1
+        net: Dict[int, int] = {}
+        get = net.get
+        for level, pair in zip(gone_levels, gone_pairs):
+            key = (level << shift) | pair
+            net[key] = get(key, 0) - 1
+        for level, pair in zip(new_levels, new_pairs):
+            key = (level << shift) | pair
+            net[key] = get(key, 0) + 1
+        dest_mask = self.domain.m - 1
+        num_levels = self.params.num_levels
+        top = num_levels - 1
+        singletons = self._singletons
+        sizes = self._num_singletons
+        # dest * num_levels + (top - level) -> net sample-frequency change
+        frequency: Dict[int, int] = {}
+        entered = left = 0
+        for key, change in net.items():
+            if not change:
+                continue
+            level = key >> shift
+            pair = key & pair_mask
+            count = singletons[level].add_count(pair, change)
+            if count == change:
+                step = 1
+                entered += 1
+            elif count == 0:
+                step = -1
+                left += 1
+            else:
+                continue
+            sizes[level] += step
+            slot = (pair & dest_mask) * num_levels + top - level
+            frequency[slot] = frequency.get(slot, 0) + step
+        if entered:
+            self._obs_sample_add.inc(entered)
+        if left:
+            self._obs_sample_remove.inc(left)
+        # Ascending slots group by dest, each dest's levels top-down.
+        order = sorted(slot for slot, step in frequency.items() if step)
+        heaps = self._dest_heaps
+        raised = lowered = 0
+        position = 0
+        total = len(order)
+        while position < total:
+            dest = order[position] // num_levels
+            level = top - order[position] % num_levels
+            running = 0
+            while level >= 0:
+                if (
+                    position < total
+                    and order[position] == dest * num_levels + top - level
+                ):
+                    running += frequency[order[position]]
+                    position += 1
+                if running > 0:
+                    heaps[level].add_to(dest, running, remove_at_zero=True)
+                    raised += 1
+                elif running < 0:
+                    heaps[level].add_to(dest, running, remove_at_zero=True)
+                    lowered += 1
+                level -= 1
+        if raised:
+            self._obs_heap_add.inc(raised)
+        if lowered:
+            self._obs_heap_remove.inc(lowered)
 
     def _add_singleton_occurrence(self, level: int, pair: int) -> None:
         """A bucket at ``level`` became a singleton holding ``pair``."""

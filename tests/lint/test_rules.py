@@ -126,6 +126,39 @@ class TestRL002FloatInCounterPath:
         assert violations == []
 
 
+    def test_fails_on_float_in_batch_memo_helpers(self):
+        violations = run_rule("RL002", (
+            "src/repro/sketch/tracking.py",
+            """
+            class TrackingDistinctCountSketch:
+                def _apply_singleton_changes(self, levels, pairs) -> None:
+                    share = len(levels) / 2
+            """,
+        ))
+        assert [v.rule_id for v in violations] == ["RL002"]
+
+    def test_hot_path_registry_names_live_functions(self):
+        # Every function RL002 guards must exist: a renamed hot path
+        # left in the registry would silently drop out of the check.
+        import ast
+        import importlib.util
+
+        from repro.lint.rules import FloatInCounterPathRule
+
+        for module, names in FloatInCounterPathRule.HOT_PATHS.items():
+            spec = importlib.util.find_spec(module)
+            assert spec is not None and spec.origin is not None, module
+            with open(spec.origin, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read())
+            defined = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
+            if names is not None:
+                assert names <= defined, (module, sorted(names - defined))
+
+
 class TestRL003WallClock:
     def test_fails_on_time_time_in_sketch(self):
         violations = run_rule("RL003", (

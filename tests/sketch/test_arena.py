@@ -216,8 +216,6 @@ class TestCopy:
 class TestBatchSurface:
     def test_resolve_scatter_decode_roundtrip(self):
         arena = SignatureArena(4, 128)
-        slots = arena.resolve_slots(keys(3, 7))
-        assert len(arena) == 2
         rows = np.array(
             [
                 [0, 0, 0, 0, 0],   # pair 0b0101 inserted and deleted
@@ -225,15 +223,38 @@ class TestBatchSurface:
             ],
             dtype=np.int64,
         )
-        before_ok, _ = arena.decode_slots_raw(slots)
-        arena.scatter_rows(slots, rows)
-        ok, codes = arena.decode_slots_raw(slots)
-        arena.free_zero_slots(slots)
-        assert not before_ok.any()  # fresh rows are zero
-        assert ok.tolist() == [False, True]
-        assert codes[1] == 0b0010
+        index, before_ok, _, after_ok, codes = arena.add_rows_diff(
+            keys(3, 7), rows
+        )
+        # Only key 7's occupant changed; fresh rows decode as not-ok.
+        assert index.tolist() == [1]
+        assert before_ok.tolist() == [False]
+        assert after_ok.tolist() == [True]
+        assert codes[0] == 0b0010
         assert 3 not in arena
+        assert len(arena) == 1
         assert arena.singleton_at(7) == 0b0010
+
+    def test_diff_reports_occupant_swaps_and_collisions(self):
+        arena = SignatureArena(4, 128)
+        arena.add_rows(keys(1, 2), np.array(
+            [[1, 1, 0, 0, 0], [1, 0, 1, 0, 0]], dtype=np.int64
+        ))
+        # Key 1 swaps pair 0b0001 for 0b1000; key 2 gains a second
+        # pair (collision); key 5 is untouched by the diff's content.
+        index, before_ok, before, after_ok, after = arena.add_rows_diff(
+            keys(1, 2, 5),
+            np.array(
+                [[0, -1, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, 0, 0, 0]],
+                dtype=np.int64,
+            ),
+        )
+        assert index.tolist() == [0, 1]
+        assert before_ok.tolist() == [True, True]
+        assert before.tolist() == [0b0001, 0b0010]
+        assert after_ok.tolist() == [True, False]
+        assert after[0] == 0b1000
+        assert 5 not in arena and len(arena) == 2
 
     def test_resolve_allocates_duplicates_once(self):
         arena = SignatureArena(4, 128)
@@ -244,12 +265,12 @@ class TestBatchSurface:
 
     def test_resolve_recycles_freed_slots_before_growing(self):
         arena = SignatureArena(4, 128)
-        slots = arena.resolve_slots(keys(1, 2, 3))
-        arena.free_zero_slots(slots)  # all rows are zero: all freed
-        assert len(arena) == 0
-        again = arena.resolve_slots(keys(50, 60))
+        arena.add_rows(keys(1, 2, 3), np.zeros((3, 5), dtype=np.int64))
+        assert len(arena) == 0  # all rows stayed zero: all freed
+        arena.add_rows(keys(50, 60), np.ones((2, 5), dtype=np.int64))
         assert arena.capacity == 3
-        assert sorted(again.tolist() + arena._free) == [0, 1, 2]
+        occupied = [arena._slot(50), arena._slot(60)]
+        assert sorted(occupied + arena._free) == [0, 1, 2]
 
     def test_sparse_resolve_path(self):
         # A key range above MAX_DENSE_KEYS forces the dict-based index.
@@ -258,17 +279,22 @@ class TestBatchSurface:
         slots = arena.resolve_slots(keys(MAX_DENSE_KEYS, 9, MAX_DENSE_KEYS))
         assert slots[0] == slots[2]
         assert len(arena) == 2
-        arena.scatter_rows(slots[:2], np.ones((2, 5), dtype=np.int64))
+        arena.add_rows(keys(MAX_DENSE_KEYS, 9), np.ones((2, 5), dtype=np.int64))
         assert arena.singleton_at(9) == 0b1111
-        arena.scatter_rows(slots[:1], -np.ones((1, 5), dtype=np.int64))
-        arena.free_zero_slots(slots[:2])
+        arena.add_rows(keys(MAX_DENSE_KEYS), -np.ones((1, 5), dtype=np.int64))
         assert MAX_DENSE_KEYS not in arena
         assert len(arena) == 1
 
-    def test_decode_slots_empty(self):
+    def test_fused_add_empty(self):
         arena = SignatureArena(4, 128)
-        ok, codes = arena.decode_slots_raw(np.array([], dtype=np.int64))
-        assert len(ok) == 0 and len(codes) == 0
+        empty = np.empty((0, 5), dtype=np.int64)
+        arena.add_rows(keys(), empty)
+        index, before_ok, before, after_ok, after = arena.add_rows_diff(
+            keys(), empty
+        )
+        assert len(index) == len(before_ok) == len(before) == 0
+        assert len(after_ok) == len(after) == 0
+        assert len(arena) == 0 and arena.capacity == 0
 
 
 class TestCapacityBound:
@@ -277,10 +303,8 @@ class TestCapacityBound:
         rng = np.random.default_rng(7)
         for _ in range(50):
             batch = np.unique(rng.integers(0, 64, size=40))
-            slots = arena.resolve_slots(batch)
             signs = rng.choice([-1, 1], size=(len(batch), 1))
-            arena.scatter_rows(slots, signs * np.ones((len(batch), 5), int))
-            arena.free_zero_slots(slots)
+            arena.add_rows(batch, signs * np.ones((len(batch), 5), int))
             assert arena.capacity <= 64
 
     def test_reserved_rows_cost_no_memory_until_used(self):
@@ -294,8 +318,7 @@ class TestCapacityBound:
         before = resident()
         # Reserves ~34 MB of address space for 2^16 rows of 65 counters.
         arena = SignatureArena(64, 1 << 16)
-        slots = arena.resolve_slots(np.arange(1000))
-        arena.scatter_rows(slots, np.ones((1000, 65), dtype=np.int64))
+        arena.add_rows(np.arange(1000), np.ones((1000, 65), dtype=np.int64))
         assert resident() - before < 8 << 20
         assert arena.capacity == 1000
 

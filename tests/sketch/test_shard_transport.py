@@ -180,17 +180,12 @@ class TestArenaDeltaTracking:
 
         arena = self.make()
         one = np.ones((1, 9), dtype=np.int64)
-        slots = arena.resolve_slots(np.array([3]))
-        arena.note_touched(slots)
-        arena.scatter_rows(slots, one)
+        arena.add_rows(np.array([3]), one)
         arena.drain_deltas()
         # One batch frees key 3 and rebinds its slot to key 7; another
         # touches key 5 and reverts it, so it nets to zero.
         for key, row in ((3, -one), (7, one), (5, one), (5, -one)):
-            slots = arena.resolve_slots(np.array([key]))
-            arena.note_touched(slots)
-            arena.scatter_rows(slots, row)
-            arena.free_zero_slots(slots)
+            arena.add_rows(np.array([key]), row)
         buckets, rows = arena.drain_deltas()
         got = dict(zip(buckets.tolist(), rows.reshape(-1, 9).tolist()))
         assert got == {3: [-1] * 9, 7: [1] * 9}

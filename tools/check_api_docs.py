@@ -70,6 +70,10 @@ REQUIRED_METHODS: List[Tuple[str, str]] = [
     ("repro.sketch", "DistinctCountSketch.process_stream"),
     ("repro.sketch", "ShardedSketch.update_batch"),
     ("repro.monitor", "DDoSMonitor.observe_batch"),
+    ("repro.sketch", "EncodedBatch.flat_keys"),
+    ("repro.sketch", "EncodedBatch.segment"),
+    ("repro.sketch", "SignatureArena.add_rows"),
+    ("repro.sketch", "SignatureArena.add_rows_diff"),
     # query surface (scalar + slab decode)
     ("repro.sketch", "DistinctCountSketch.base_topk"),
     ("repro.sketch", "DistinctCountSketch.threshold_query"),
