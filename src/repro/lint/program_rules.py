@@ -866,17 +866,19 @@ class LinearityGuardRule(ProgramRule):
 class SharedMemoryOwnershipRule(ProgramRule):
     """RL014: created shared-memory segments must reach ``unlink()``.
 
-    Invariant (PR 9 shm transport): a POSIX shared-memory segment is a
-    *named* kernel object — unlike pipes and file handles, ``close()``
-    only unmaps it; the backing ``/dev/shm`` file survives the process
-    until someone calls ``unlink()``.  RL010's lifecycle analysis
+    Invariant: a POSIX shared-memory segment is a *named* kernel
+    object — unlike pipes and file handles, ``close()`` only unmaps
+    it; the backing ``/dev/shm`` file survives the process until
+    someone calls ``unlink()``.  RL010's lifecycle analysis
     treats ``close`` as a release, which is right for every other
     resource kind but too weak here.  This rule checks the creation
     sites: every ``SharedMemory(..., create=True)`` result must either
     reach a textual ``.unlink()`` in the same function or be handed
     off (returned, stored on ``self``/a container, or passed to a
-    callee — the pool's sweep helpers take ownership that way).  An
+    callee that takes ownership, such as a cleanup helper).  An
     unbound creation is always a leak: nothing can ever unlink it.
+    No library module creates a segment today; the rule guards any
+    future one.
     """
 
     rule_id = "RL014"

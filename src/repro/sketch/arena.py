@@ -49,7 +49,6 @@ import mmap
 from array import array
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
 
-from .._accel import HAVE_NUMPY
 from .._accel import np as _np
 from ..exceptions import MergeError, ParameterError
 from ..obs.trace import span as trace_span
@@ -196,8 +195,6 @@ class SignatureArena:
             raise ParameterError(
                 f"range_size must be >= 1, got {range_size}"
             )
-        if not HAVE_NUMPY:
-            raise ParameterError("the packed arena requires numpy")
         self.pair_bits = pair_bits
         #: Counters per row: the total plus one per pair bit.
         self.stride = pair_bits + 1

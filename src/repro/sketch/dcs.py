@@ -894,13 +894,14 @@ class DistinctCountSketch:
         (``SignatureArena.drain_deltas`` output reshaped).  Because the
         sketch is linear, adding another sketch's per-bucket counter
         deltas is exactly equivalent to having processed its updates
-        here — the incremental-merge primitive behind
-        ``ShardedSketch(transport="delta"|"shm")``: one call folds a
-        whole shard's payload.  Buckets whose rows net to zero are
+        here — the incremental-merge primitive behind the process
+        shards' delta sync
+        (:class:`~repro.sketch.sharded.ShardedSketch`): one call folds
+        a whole shard's payload.  Buckets whose rows net to zero are
         pruned, and the tracking subclass maintains its sample state
         through the same row-add override the batch engine uses.  Does
         **not** adjust ``updates_processed``/``net_total`` (callers
-        account for those from the transport's cumulative totals).
+        account for those from the shards' cumulative totals).
 
         Requires the packed backend.
         """

@@ -1,55 +1,49 @@
-"""Shared-memory / delta shard transports: units, fuzz, lifecycle.
+"""Delta shard sync: units, fuzz, lifecycle.
 
-Three layers of coverage for ``ShardedSketch(transport=...)``:
+Three layers of coverage for the process backend's delta sync:
 
 * arena-level units for the dirty-bucket delta index
   (``track_deltas``/``drain_deltas``/``export_rows``);
-* a differential fuzz suite proving the delta-propagated and
-  shm-gathered merges are **bit-identical** to the full-snapshot merge
-  and to a single-process sketch (``structurally_equal`` + identical
+* a differential fuzz suite proving the delta-propagated merge is
+  **bit-identical** to merging whole shard snapshots and to a
+  single-process sketch (``structurally_equal`` + identical
   ``track_topk``/``base_topk``) across policies, delete-heavy streams,
-  mid-stream syncs, and a DurableSketch crash-recovery round;
-* lifecycle regressions: transport resolution errors, running-sum
-  invalidation on restore/degrade, stale-epoch full resync, and the
-  no-leaked-``/dev/shm``-segments guarantee after SIGKILL chaos.
+  mid-stream syncs, pair domains wider than 64 bits, and a
+  DurableSketch crash-recovery round;
+* lifecycle regressions: backend validation, running-sum invalidation
+  on restore/degrade, and the stale-epoch full resync.
 """
 
 from __future__ import annotations
 
-import gc
-import os
 import random
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from pathlib import Path
 
 import pytest
 
-from repro._accel import HAVE_NUMPY
 from repro.exceptions import ParameterError
 from repro.obs import Registry
 from repro.resilience import DurableSketch, drop_delta_sync
 from repro.sketch import ShardedSketch, TrackingDistinctCountSketch
 from repro.sketch.arena import SignatureArena
+from repro.sketch.params import SketchParams
+from repro.sketch.process_pool import ProcessShardPool
 from repro.sketch.serialize import dumps, loads
 from repro.types import AddressDomain, FlowUpdate
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="packed transports require numpy"
-)
+DOMAIN = AddressDomain(2 ** 16)
 
-TRANSPORTS = ("pipe", "shm", "delta")
+#: The two ways a bank reaches its combined view, keyed by test id:
+#: the sync backend's in-process merge and the process backend's delta
+#: sync.  Value: the ``backend`` argument.
+SYNC_PATHS = {"merge": "sync", "delta": "process"}
 
 
-def delete_heavy_stream(count, seed=0, dests=24):
+def delete_heavy_stream(count, seed=0, dests=24, sources=2 ** 16):
     """A stream where ~40% of inserts are later deleted."""
     rng = random.Random(seed)
     updates = []
     for _ in range(count):
-        source = rng.randrange(2 ** 16)
+        source = rng.randrange(sources)
         dest = rng.randrange(dests)
         updates.append(FlowUpdate(source, dest, +1))
         if rng.random() < 0.4:
@@ -57,39 +51,38 @@ def delete_heavy_stream(count, seed=0, dests=24):
     return updates
 
 
-def single_for(stream, seed=5):
-    sketch = TrackingDistinctCountSketch(
-        AddressDomain(2 ** 16), seed=seed, backend="packed"
-    )
+def single_for(stream, seed=5, domain=DOMAIN, backend="packed"):
+    sketch = TrackingDistinctCountSketch(domain, seed=seed, backend=backend)
     sketch.update_batch(stream)
     return sketch
 
 
-def bank(transport, shards=3, seed=5, policy="round-robin", obs=None):
+def bank(
+    shards=3, seed=5, policy="round-robin", obs=None, domain=DOMAIN,
+    backend="process",
+):
     sharded = ShardedSketch(
-        AddressDomain(2 ** 16),
+        domain,
         shards=shards,
         policy=policy,
         seed=seed,
         obs=obs,
-        backend="process",
-        sketch_backend="packed",
-        transport=transport,
+        backend=backend,
     )
-    if sharded.backend != "process":
+    if sharded.backend != backend:
         pytest.skip("multiprocessing unavailable on this platform")
-    assert sharded.transport == transport
+    assert sharded.transport == ("delta" if backend == "process" else None)
     return sharded
 
 
-def leaked_segments():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return []
-    return [
-        path.name for path in shm_dir.iterdir()
-        if path.name.startswith("repro")
-    ]
+def snapshot_merge(sharded):
+    """The whole-state oracle: a fresh sketch plus every shard snapshot."""
+    merged = TrackingDistinctCountSketch(
+        sharded.params, seed=sharded.seed, backend="packed"
+    )
+    for index in range(sharded.num_shards):
+        merged.merge(sharded.shard(index))
+    return merged
 
 
 class TestArenaDeltaTracking:
@@ -227,67 +220,50 @@ class TestArenaDeltaTracking:
 
 class TestTransportResolution:
     def test_auto_resolves_to_delta_on_packed(self):
-        sharded = bank("delta")  # helper asserts resolution
-        sharded.close()
-        auto = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            backend="process", sketch_backend="packed",
-        )
-        if auto.backend == "process":
-            assert auto.transport == "delta"
-        auto.close()
+        sharded = ShardedSketch(DOMAIN, shards=2, seed=5, backend="process")
+        try:
+            assert sharded.sketch_backend == "packed"
+            if sharded.backend == "process":
+                assert sharded.transport == "delta"
+        finally:
+            sharded.close()
 
-    def test_auto_resolves_to_pipe_on_reference(self):
-        sharded = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            backend="process", sketch_backend="reference",
-        )
-        if sharded.backend == "process":
-            assert sharded.transport == "pipe"
-        sharded.close()
-
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_packed_transport_rejects_reference_backend(self, transport):
+    def test_packed_transport_rejects_reference_backend(self):
         with pytest.raises(ParameterError):
             ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
+                DOMAIN, shards=2, seed=5,
                 backend="process", sketch_backend="reference",
-                transport=transport,
-            )
-
-    def test_sync_backend_rejects_explicit_transport(self):
-        with pytest.raises(ParameterError):
-            ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                sketch_backend="packed", transport="delta",
             )
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ParameterError):
+        # Delta is the only sync path: there is no transport= argument.
+        with pytest.raises(TypeError):
             ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                backend="process", transport="zeromq",
+                DOMAIN, shards=2, seed=5,
+                backend="process", transport="delta",
             )
+        with pytest.raises(TypeError):
+            ProcessShardPool(SketchParams(DOMAIN), 5, 2, transport="delta")
 
     def test_sync_backend_has_no_transport(self):
-        sharded = ShardedSketch(
-            AddressDomain(2 ** 16), shards=2, seed=5,
-            sketch_backend="packed",
-        )
+        sharded = ShardedSketch(DOMAIN, shards=2, seed=5)
         assert sharded.transport is None
+        # The reference store stays available in-process.
+        reference = ShardedSketch(
+            DOMAIN, shards=2, seed=5, sketch_backend="reference"
+        )
+        assert reference.transport is None
+        assert reference.shard(0).backend == "reference"
 
 
 class TestDifferentialFuzz:
-    """Delta/shm merges must be bit-identical to snapshot merges."""
+    """Delta merges must be bit-identical to snapshot merges."""
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("policy", ["round-robin", "by-destination"])
-    def test_matches_single_sketch_with_mid_stream_syncs(
-        self, transport, policy
-    ):
+    def test_matches_single_sketch_with_mid_stream_syncs(self, policy):
         stream = delete_heavy_stream(2500, seed=17)
         single = single_for(stream)
-        sharded = bank(transport, policy=policy)
+        sharded = bank(policy=policy)
         try:
             third = len(stream) // 3
             sharded.update_batch(stream[:third])
@@ -308,30 +284,61 @@ class TestDifferentialFuzz:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_bit_identical_to_pipe_snapshot_merge(self, transport):
-        stream = delete_heavy_stream(1500, seed=23)
-        pipe_bank = bank("pipe", seed=7)
-        fast_bank = bank(transport, seed=7)
+    def test_wide_domain_process_shards_match_single_sketch(self):
+        # 80-bit pairs: codes no longer fit one uint64 lane, but the
+        # delta rows are still int64 counters, so the fold is exact.
+        domain = AddressDomain(2 ** 40)
+        assert SketchParams(domain).pair_bits > 64
+        stream = delete_heavy_stream(
+            1500, seed=19, dests=2 ** 40, sources=2 ** 40
+        )
+        # Repeat a few destinations so the top-k has a real order.
+        hot = delete_heavy_stream(600, seed=20, dests=3, sources=2 ** 40)
+        stream = stream + hot
+        sharded = bank(shards=2, domain=domain)
         try:
-            pipe_bank.update_batch(stream)
-            fast_bank.update_batch(stream[:700])
-            fast_bank.combined()  # force an incremental window
-            fast_bank.update_batch(stream[700:])
-            baseline = pipe_bank.combined()
-            candidate = fast_bank.combined()
+            half = len(stream) // 2
+            sharded.update_batch(stream[:half])
+            sharded.combined().track_topk(5)  # mid-stream sync
+            sharded.update_batch(stream[half:])
+            combined = sharded.combined()
+            assert combined.structurally_equal(
+                single_for(stream, domain=domain)
+            )
+            reference = single_for(
+                stream, domain=domain, backend="reference"
+            )
+            assert combined.structurally_equal(reference)
+            assert combined.track_topk(8).as_dict() == (
+                reference.track_topk(8).as_dict()
+            )
+            assert combined.base_topk(8).as_dict() == (
+                reference.base_topk(8).as_dict()
+            )
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("path", SYNC_PATHS)
+    def test_bit_identical_to_pipe_snapshot_merge(self, path):
+        stream = delete_heavy_stream(1500, seed=23)
+        sharded = bank(seed=7, backend=SYNC_PATHS[path])
+        try:
+            sharded.update_batch(stream[:700])
+            sharded.combined()  # force an incremental window
+            sharded.update_batch(stream[700:])
+            candidate = sharded.combined()
+            baseline = snapshot_merge(sharded)
             assert candidate.structurally_equal(baseline)
             assert candidate.base_topk(10).as_dict() == (
                 baseline.base_topk(10).as_dict()
             )
         finally:
-            pipe_bank.close()
-            fast_bank.close()
+            sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_combined_serialize_roundtrip(self, transport):
+    @pytest.mark.parametrize("path", SYNC_PATHS)
+    def test_combined_serialize_roundtrip(self, path):
         stream = delete_heavy_stream(800, seed=29)
-        sharded = bank(transport)
+        sharded = bank(backend=SYNC_PATHS[path])
         try:
             sharded.update_batch(stream)
             combined = sharded.combined()
@@ -343,19 +350,19 @@ class TestDifferentialFuzz:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_matches_durable_sketch_recovery(self, transport, tmp_path):
+    @pytest.mark.parametrize("path", SYNC_PATHS)
+    def test_matches_durable_sketch_recovery(self, path, tmp_path):
         stream = delete_heavy_stream(900, seed=31)
         with DurableSketch(
-            tmp_path, AddressDomain(2 ** 16), seed=5, backend="packed"
+            tmp_path, DOMAIN, seed=5, backend="packed"
         ) as durable:
             for update in stream:
                 durable.process(update)
         # Reopen: recovery replays checkpoint + WAL tail exactly.
         with DurableSketch(
-            tmp_path, AddressDomain(2 ** 16), seed=5, backend="packed"
+            tmp_path, DOMAIN, seed=5, backend="packed"
         ) as recovered:
-            sharded = bank(transport)
+            sharded = bank(backend=SYNC_PATHS[path])
             try:
                 sharded.update_batch(stream)
                 assert sharded.combined().structurally_equal(
@@ -368,7 +375,7 @@ class TestDifferentialFuzz:
 class TestRunningSumInvalidation:
     def test_post_respawn_topk_equals_scratch_merge(self):
         stream = delete_heavy_stream(1200, seed=37)
-        sharded = bank("delta")
+        sharded = bank()
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -386,10 +393,9 @@ class TestRunningSumInvalidation:
         finally:
             sharded.close()
 
-    @pytest.mark.parametrize("transport", ["shm", "delta"])
-    def test_degrade_to_sync_invalidates_and_stays_exact(self, transport):
+    def test_degrade_to_sync_invalidates_and_stays_exact(self):
         stream = delete_heavy_stream(1000, seed=41)
-        sharded = bank(transport)
+        sharded = bank()
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -413,7 +419,7 @@ class TestRunningSumInvalidation:
     def test_stale_epoch_triggers_exact_full_resync(self):
         stream = delete_heavy_stream(1000, seed=43)
         registry = Registry()
-        sharded = bank("delta", obs=registry)
+        sharded = bank(obs=registry)
         try:
             half = len(stream) // 2
             sharded.update_batch(stream[:half])
@@ -440,98 +446,6 @@ class TestRunningSumInvalidation:
         return 0
 
     def test_drop_delta_sync_requires_delta_transport(self):
-        sharded = bank("pipe")
-        try:
-            with pytest.raises(ParameterError):
-                drop_delta_sync(sharded, 0)
-        finally:
-            sharded.close()
-
-
-class TestSegmentLifecycle:
-    def test_no_leak_after_clean_close(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(400, seed=47))
-        sharded.combined()
-        sharded.close()
-        assert leaked_segments() == []
-
-    def test_no_leak_after_sigkill_then_close(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(400, seed=53))
-        sharded.combined()  # every worker has published a segment
-        pid = sharded.worker_pid(1)
-        os.kill(pid, signal.SIGKILL)
-        deadline = time.monotonic() + 5
-        while sharded.worker_alive(1) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        sharded.close()  # must sweep the dead worker's segment too
-        assert leaked_segments() == []
-
-    def test_no_leak_through_gc_finalizer(self):
-        sharded = bank("shm")
-        sharded.update_batch(delete_heavy_stream(200, seed=59))
-        sharded.combined()
-        del sharded  # never closed: the pool finalizer must clean up
-        gc.collect()
-        assert leaked_segments() == []
-
-    def test_no_leak_when_process_exits_without_close(self):
-        """The atexit guard sweeps pools that were never closed."""
-        script = textwrap.dedent(
-            """
-            import random
-            from repro.sketch import ShardedSketch
-            from repro.types import AddressDomain, FlowUpdate
-
-            sharded = ShardedSketch(
-                AddressDomain(2 ** 16), shards=2, seed=5,
-                backend="process", sketch_backend="packed",
-                transport="shm",
-            )
-            if sharded.backend != "process":
-                raise SystemExit(0)
-            rng = random.Random(1)
-            sharded.update_batch([
-                FlowUpdate(rng.randrange(2 ** 16), rng.randrange(8), 1)
-                for _ in range(300)
-            ])
-            sharded.combined()
-            # exit WITHOUT close(): atexit must unlink the segments
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path("src").resolve())]
-            + env.get("PYTHONPATH", "").split(os.pathsep)
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        assert result.returncode == 0, result.stderr
-        assert leaked_segments() == []
-
-    def test_respawn_unlinks_dead_workers_segment(self):
-        sharded = bank("shm")
-        try:
-            sharded.update_batch(delete_heavy_stream(300, seed=61))
-            sharded.combined()
-            before = set(leaked_segments())
-            assert before  # workers have live segments while running
-            pid = sharded.worker_pid(0)
-            os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 5
-            while sharded.worker_alive(0) and (
-                time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            sharded.restore_shard(0, None, processed_count=0)
-            shard0_segments = [
-                name for name in leaked_segments()
-                if f"p{pid}g" in name
-            ]
-            assert shard0_segments == []
-        finally:
-            sharded.close()
-        assert leaked_segments() == []
+        sharded = bank(backend="sync")
+        with pytest.raises(ParameterError):
+            drop_delta_sync(sharded, 0)
